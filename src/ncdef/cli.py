@@ -26,6 +26,16 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _hull_order(text: str) -> int:
+    try:
+        order = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if order < 2:
+        raise argparse.ArgumentTypeError(f"hull order must be >= 2, got {order}")
+    return order
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncdef",
@@ -36,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("elliptic", help="full pipeline for the plane-cubic charts")
     p.add_argument("--a", type=_rational, required=True, help="rational, e.g. 1 or 3/2")
     p.add_argument("--b", type=_rational, required=True)
-    p.add_argument("--hull-order", type=int, default=4)
+    p.add_argument("--hull-order", type=_hull_order, default=4)
     p.add_argument("--dmax", type=int, default=24)
     p.add_argument("--format", choices=("json", "md"), default="md")
     p.add_argument("--full-complex", action="store_true",

@@ -27,7 +27,9 @@ from .algebra import (
     truncated_operator_matrix,
 )
 from .diagrams import FiniteCategory, MorFunctor, build_resolving_complex
-from .linalg import DenseMatrix, SubspaceReducer, kernel_basis, solve
+# kernel_basis is no longer called here but stays bound: the pipeline
+# benchmark's tracer test checks that tracing patches this binding
+from .linalg import DenseMatrix, SubspaceReducer, kernel_basis, rref, solve  # noqa: F401
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -42,6 +44,10 @@ class NoStabilization(RuntimeError):
             f"cokernel truncation did not stabilize below degree {d_max}"
             + (f" ({detail})" if detail else "")
         )
+
+
+class CertificationError(RuntimeError):
+    """An exact self-check of the cokernel computation failed."""
 
 
 class ChartData:
@@ -89,6 +95,7 @@ class CokernelPresentation:
         self._shift = max(1, derivation.degree_shift(min(6, d_start)))
         self._margin = self._shift + 4
         self._stages: dict[int, dict] = {}
+        self._systems: dict[int, tuple] = {}
         reps = None
         self.d_star = None
         for d in range(d_start, d_max - 1):
@@ -115,6 +122,7 @@ class CokernelPresentation:
                     self._shift = shift
                     self._margin = shift + 4
                     self._stages.clear()
+                    self._systems.clear()
                 return m, d_in + shift
             except TruncationEscape:
                 shift += 1
@@ -122,27 +130,29 @@ class CokernelPresentation:
                     raise NoStabilization(self.d_max, "derivation shift runaway")
 
     def _stage(self, d: int) -> dict:
-        """Image data at degree d: the subspace of R_d hit by the derivation."""
+        """Image data at degree d: an echelon basis of the subspace of R_d hit
+        by the derivation."""
         if d in self._stages:
             return self._stages[d]
         dd = d + self._margin
         matrix, d_out = self._operator_matrix(dd)
         tgt = self.algebra.nf_monomials(d_out)
         low = [i for i, m in enumerate(tgt) if self.algebra.degree(m) <= d]
-        high = [i for i in range(len(tgt)) if self.algebra.degree(tgt[i]) > d]
-        high_rows = DenseMatrix.from_rows(
-            [[matrix[i, j] for j in range(matrix.cols)] for i in high]
-        ) if high else DenseMatrix.zero(0, matrix.cols)
+        high = [i for i, m in enumerate(tgt) if self.algebra.degree(m) > d]
         low_basis = self.algebra.nf_monomials(d)
-        assert [tgt[i] for i in low] == low_basis
-        vectors = []
-        for k in kernel_basis(high_rows):
-            img = matrix.apply(k)
-            vectors.append([img[i] for i in low])
-        reducer = SubspaceReducer(len(low_basis))
-        for v in vectors:
-            reducer.add(v)
-        stage = {"d": d, "basis": low_basis, "image": reducer}
+        if [tgt[i] for i in low] != low_basis:
+            raise CertificationError(
+                f"degree-{d} monomials are not the low block of the degree-{d_out} basis"
+            )
+        # One image per source monomial, high-degree coordinates first: the
+        # echelon rows whose pivot lies in the low block span the image inside R_d.
+        order = high + low
+        images = DenseMatrix(matrix.cols, len(order),
+                             [matrix[i, j] for j in range(matrix.cols) for i in order])
+        echelon, pivots = rref(images)
+        rows = [list(echelon.row(k)[len(high):])
+                for k, c in enumerate(pivots) if c >= len(high)]
+        stage = {"d": d, "basis": low_basis, "image": rows}
         self._stages[d] = stage
         return stage
 
@@ -153,7 +163,7 @@ class CokernelPresentation:
         basis = stage["basis"]
         index = {m: i for i, m in enumerate(basis)}
         reducer = SubspaceReducer(len(basis))
-        for row in stage["image"].rows:
+        for row in stage["image"]:
             reducer.add(row)
         reps = []
 
@@ -193,7 +203,31 @@ class CokernelPresentation:
                 raise NoStabilization(self.d_max, f"element of degree {d}")
             if self._rep_monomials(d) != self.reps:
                 raise NoStabilization(self.d_max, "window extension changed the basis")
-        dd = d + self._margin
+        full, index, src = self._system(d + self._margin)
+        vec = [_ZERO] * len(index)
+        for m, c in e.terms.items():
+            vec[index[m]] = c
+        x = solve(full, vec)
+        if x is None:
+            raise NoStabilization(self.d_max, "element not covered by the window")
+        coords = x[: len(self.reps)]
+        witness = self.algebra.normal_form(
+            {m: c for m, c in zip(src, x[len(self.reps):]) if c}
+        )
+        recon = self.algebra.zero()
+        for c, m in zip(coords, self.reps):
+            recon = recon + self.algebra.normal_form({m: c})
+        if self.derivation(witness) != e - recon:
+            raise CertificationError(
+                f"reduction witness fails d(witness) = e - sum coords*reps on {e}"
+            )
+        return Reduction(coords, witness)
+
+    def _system(self, dd: int) -> tuple[DenseMatrix, dict, list]:
+        """The [reps | D] system reduce() solves at source degree dd, with the
+        target index and the source monomials; built once per degree."""
+        if dd in self._systems:
+            return self._systems[dd]
         matrix, d_out = self._operator_matrix(dd)
         tgt = self.algebra.nf_monomials(d_out)
         index = {m: i for i, m in enumerate(tgt)}
@@ -204,22 +238,8 @@ class CokernelPresentation:
             col[index[m]] = _ONE
             cols.append(col)
         full = DenseMatrix.from_columns(cols, nrows=len(tgt)).hstack(matrix)
-        vec = [_ZERO] * len(tgt)
-        for m, c in e.terms.items():
-            vec[index[m]] = c
-        x = solve(full, vec)
-        if x is None:
-            raise NoStabilization(self.d_max, "element not covered by the window")
-        coords = x[: len(self.reps)]
-        witness = self.algebra.normal_form(
-            {m: c for m, c in zip(src, x[len(self.reps):]) if c}
-        )
-        # exactness: e - sum coords*reps = d(witness)
-        recon = self.algebra.zero()
-        for c, m in zip(coords, self.reps):
-            recon = recon + self.algebra.normal_form({m: c})
-        assert self.derivation(witness) == e - recon
-        return Reduction(coords, witness)
+        self._systems[dd] = (full, index, src)
+        return self._systems[dd]
 
     def class_element(self, coords) -> AlgebraElement:
         out = self.algebra.zero()

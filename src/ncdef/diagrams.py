@@ -372,6 +372,7 @@ class CohomologyGroup:
         for b in boundaries:
             red.add(b)
         self.representatives = [z for z in cocycles if red.add([e for e in z])]
+        self._system = None
 
     @property
     def dim(self) -> int:
@@ -384,6 +385,7 @@ class CohomologyGroup:
         if len(reps) != self.dim or (m is not None and rank(m) != self.dim):
             raise CategoryError("supplied representatives do not form a basis")
         self.representatives = [list(r) for r in reps]
+        self._system = None
 
     def class_coords(self, vec) -> list[Fraction]:
         """Coordinates of a cocycle's class; exactly zero on coboundaries."""
@@ -392,11 +394,13 @@ class CohomologyGroup:
         residual = rc.differentials[self.degree].apply(vec)
         if any(e != 0 for e in residual):
             raise CocycleError(residual)
-        cols = [list(r) for r in self.representatives] + [list(b) for b in self._boundaries]
-        if not cols:
-            return []
-        m = DenseMatrix.from_columns(cols, nrows=rc.space_dims[self.degree])
-        x = solve(m, vec)
+        if self._system is None:
+            # [representatives | boundaries], factored once by its first solve
+            cols = [list(r) for r in self.representatives] + [list(b) for b in self._boundaries]
+            if not cols:
+                return []
+            self._system = DenseMatrix.from_columns(cols, nrows=rc.space_dims[self.degree])
+        x = solve(self._system, vec)
         if x is None:
             raise CocycleError(vec)
         return x[: self.dim]

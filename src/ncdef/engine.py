@@ -604,6 +604,11 @@ class EngineContext:
 
     def cup_product(self, l: int, m: int) -> list[Fraction]:
         """Order-2 obstruction coordinates of the (l, m) monomial, 1-based."""
+        return self.cup_table()[(l, m)]
+
+    def cup_table(self):
+        """Every cup product, read off one order-2 obstruction class: the
+        (l, m) entry is the coefficient of the word t_l t_m in each row."""
         r = len(self.tangent_reps)
         free = _tangent_free(r, 3)
         R2 = quotient(free, [_word_elem(free, (a, b)) for a in range(r) for b in range(r)],
@@ -613,18 +618,14 @@ class EngineContext:
         datum = self.first_order_datum(Rp)
         defect = self.validate(datum)
         obst = self.obstruction_class(defect, surj)
-        coords = []
+        rows = []
         for row in obst.coords:
             elem = Rp.zero()
             for c, kappa in zip(row, obst.kernel_basis):
                 elem = elem + kappa.scale(c)
-            coords.append(elem.coeffs.get(("w", (l - 1, m - 1)), _ZERO))
-        return coords
-
-    def cup_table(self):
-        r = len(self.tangent_reps)
-        return {(l, m): self.cup_product(l, m) for l in range(1, r + 1)
-                for m in range(1, r + 1)}
+            rows.append(elem)
+        return {(l, m): [elem.coeffs.get(("w", (l - 1, m - 1)), _ZERO) for elem in rows]
+                for l in range(1, r + 1) for m in range(1, r + 1)}
 
     # -- the hull loop -------------------------------------------------------------
 

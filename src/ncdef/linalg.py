@@ -7,6 +7,12 @@ extension was built and in the pure-Python twin otherwise. Both kernels
 are deterministic and bit-identical, so results never depend on the
 backend.
 
+A matrix is immutable, so its eliminations are cached on it: ``rref``
+keeps the reduced form, and ``solve`` factors the matrix once (the RREF of
+``[m | I]``, i.e. the pivots and the left transform E with E @ m = rref(m))
+and answers every later right-hand side with a sparse product E @ b. RREF
+is unique, so the solution is the same whichever way it is computed.
+
 >>> m = DenseMatrix.from_rows([[1, 2], [2, 4]])
 >>> r, pivots = rref(m)
 >>> r.row(0), r.row(1), pivots
@@ -45,7 +51,7 @@ def _as_fraction(x) -> Fraction:
 class DenseMatrix:
     """Immutable rows x cols grid of Fractions."""
 
-    __slots__ = ("rows", "cols", "entries", "_rref")
+    __slots__ = ("rows", "cols", "entries", "_rref", "_factor")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = tuple(_as_fraction(e) for e in entries)
@@ -57,6 +63,7 @@ class DenseMatrix:
         self.cols = cols
         self.entries = entries
         self._rref = None
+        self._factor = None
 
     @classmethod
     def from_rows(cls, rows) -> DenseMatrix:
@@ -179,16 +186,13 @@ class DenseMatrix:
         return DenseMatrix(self.rows, self.cols + other.cols, entries)
 
 
-def _integer_rows(m: DenseMatrix):
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        d = 1
-        for e in row:
-            if e:
-                d = lcm(d, e.denominator)
-        out.append([int(e * d) for e in row])
-    return out
+def _integer_row(row) -> tuple[int, list[int]]:
+    """(d, d * row) with d the least common denominator of the entries."""
+    d = 1
+    for e in row:
+        if e:
+            d = lcm(d, e.denominator)
+    return d, [e.numerator * (d // e.denominator) for e in row]
 
 
 def rref(m: DenseMatrix, kernel=None) -> tuple[DenseMatrix, list[int]]:
@@ -200,7 +204,9 @@ def rref(m: DenseMatrix, kernel=None) -> tuple[DenseMatrix, list[int]]:
     if m._rref is not None and kernel is None:
         return m._rref
     k = kernel or _DEFAULT_KERNEL
-    int_rows, pivots = k.rref_int(_integer_rows(m), m.cols)
+    int_rows, pivots = k.rref_int(
+        [_integer_row(m.row(i))[1] for i in range(m.rows)], m.cols
+    )
     entries = []
     for row, c in zip(int_rows, pivots):
         p = row[c]
@@ -244,17 +250,65 @@ def cokernel_reps(m: DenseMatrix) -> list[int]:
     return [i for i in range(m.rows) if i not in pivot_set]
 
 
+class _Factorization:
+    """RREF of [m | I] in integer form, ready for repeated solves.
+
+    ``pivots`` are the pivot columns of m, ``heads[i]`` the integer pivot
+    entry of row i, and ``columns[k]`` the nonzero (row, value) pairs of
+    column k of the integer left transform. Row i of E is row i of that
+    transform divided by ``heads[i]`` for i < rank; the rows from the rank
+    on span the left null space of m and decide feasibility.
+    """
+
+    __slots__ = ("pivots", "heads", "columns")
+
+    def __init__(self, m: DenseMatrix):
+        aug = []
+        for i in range(m.rows):
+            d, row = _integer_row(m.row(i))
+            unit = [0] * m.rows
+            unit[i] = d
+            aug.append(row + unit)
+        # [m | I] has full row rank, so every row of the result holds a pivot
+        int_rows, pivots = _DEFAULT_KERNEL.rref_int(aug, m.cols + m.rows)
+        rank = sum(1 for c in pivots if c < m.cols)
+        self.pivots = pivots[:rank]
+        self.heads = [row[c] for row, c in zip(int_rows, self.pivots)]
+        self.columns = [[] for _ in range(m.rows)]
+        for i, row in enumerate(int_rows):
+            for k, e in enumerate(row[m.cols:]):
+                if e:
+                    self.columns[k].append((i, e))
+
+
 def solve(m: DenseMatrix, b) -> list[Fraction] | None:
-    """One exact solution of m @ x = b, or None if the system is infeasible."""
+    """One exact solution of m @ x = b, or None if the system is infeasible.
+
+    The solution is the RREF one: free columns zero, pivot columns read off
+    the reduced right-hand side. The factorization of m is computed on the
+    first solve and reused by every later solve against the same matrix.
+    """
     if len(b) != m.rows:
         raise DimensionMismatch("rhs length != rows")
-    aug = m.hstack(DenseMatrix(m.rows, 1, list(b)))
-    r, pivots = rref(aug)
-    if pivots and pivots[-1] == m.cols:
+    f = m._factor
+    if f is None:
+        f = m._factor = _Factorization(m)
+    terms = [(k, _as_fraction(e)) for k, e in enumerate(b) if e]
+    den = 1
+    for _, e in terms:
+        den = lcm(den, e.denominator)
+    acc = [0] * m.rows
+    for k, e in terms:
+        v = e.numerator * (den // e.denominator)
+        for i, c in f.columns[k]:
+            acc[i] += c * v
+    rank = len(f.pivots)
+    if any(acc[rank:]):
         return None
     x = [_ZERO] * m.cols
-    for i, c in enumerate(pivots):
-        x[c] = r[i, m.cols]
+    for i, c in enumerate(f.pivots):
+        if acc[i]:
+            x[c] = Fraction(acc[i], f.heads[i] * den)
     return x
 
 

@@ -127,3 +127,10 @@ def test_selftest_runs_green(capsys):
     lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
     assert len(lines) == 6
     assert all(l.startswith("PASS") for l in lines)
+
+
+def test_elliptic_hull_order_below_two_is_usage_error(capsys):
+    code, _out, err = run_cli(["elliptic", "--a", "1", "--b", "1", "--hull-order", "1"],
+                              capsys)
+    assert code == 2
+    assert "hull order must be >= 2" in err

@@ -1,8 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ncdef
+from ncdef import cokernels
+from ncdef.algebra import TruncationEscape
 from ncdef.cokernels import (
     NoStabilization,
     build_ext_diagram,
@@ -167,6 +174,73 @@ def test_stabilization_oracle_recompute_at_dmax_plus_3(cfg11):
                 {rng.choice(monos): Fraction(rng.randint(-5, 5), rng.randint(1, 3))}
             )
             assert ck.reduce(e).coords == ck2.reduce(e).coords
+
+
+def test_reduce_rebuilds_its_system_after_a_shift_bump(cfg11, monkeypatch):
+    ck = coker(cfg11, U3)
+    real = cokernels.truncated_operator_matrix
+    builds = []
+    escape_once = []
+
+    def counting(*args):
+        builds.append(args[3])
+        if escape_once:
+            escape_once.pop()
+            raise TruncationEscape("forced")
+        return real(*args)
+
+    monkeypatch.setattr(cokernels, "truncated_operator_matrix", counting)
+    e = ck.algebra.normal_form("15*y^2")
+    first = ck.reduce(e)
+    ck.reduce(e)
+    assert len(builds) == 1  # the second reduce reuses the system
+    # one escape raises the shift: the window caches must be dropped
+    margin = ck._margin
+    escape_once.append(True)
+    ck._operator_matrix(ck.d_star)
+    assert ck._margin == margin + 1
+    assert not ck._systems
+    builds.clear()
+    again = ck.reduce(e)
+    assert builds == [ck.d_star + ck._margin]
+    assert again.coords == first.coords
+    assert ck.derivation(again.witness) == ck.derivation(first.witness)
+
+
+_TAMPER_SCRIPT = """
+import sys
+from ncdef import cokernels, elliptic
+
+if not sys.flags.optimize:
+    sys.exit("run with python -O")
+cfg = elliptic.build(1, 1)
+chart = cfg.charts["U3"]
+ck = cokernels.cokernel_of_derivation(chart.algebra, chart.derivation,
+                                      preferred=cfg.ext_basis_strings()["U3"])
+ck.reduce("15*y^2")
+honest = cokernels.solve
+
+def tampered(m, b):
+    x = honest(m, b)
+    x[0] += 1
+    return x
+
+cokernels.solve = tampered
+try:
+    ck.reduce("15*y^2")
+except cokernels.CertificationError:
+    print("certified")
+"""
+
+
+def test_tampered_reduction_raises_under_python_O():
+    # the witness check is an exception, so -O keeps it, also for a reduce
+    # served from the cached system
+    env = dict(os.environ, PYTHONPATH=str(Path(ncdef.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-O", "-c", _TAMPER_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["certified"]
 
 
 # --- the Ext^1 diagram -----------------------------------------------------------

@@ -124,6 +124,9 @@ def test_representative_rebasing_checks_span():
     G = constant_functor(c)
     rc = build_resolving_complex(c, G, normalized=True, p_max=2)
     h0 = rc.cohomology(0)
+    (old,) = h0.class_coords([1, 1, 1])
+    assert old != Fraction(1, 2)
+    # the rebased group solves against the new basis, not the one used above
     h0.set_representatives([[2, 2, 2]])
     assert h0.class_coords([1, 1, 1]) == [Fraction(1, 2)]
     with pytest.raises(CategoryError):

@@ -136,3 +136,78 @@ def test_rref_is_idempotent():
         r, pivots = rref(m)
         r2, pivots2 = rref(r)
         assert r2 == r and pivots2 == pivots
+
+
+# --- the factored solve ----------------------------------------------------------
+
+
+def _reference_solve(m, b):
+    """Fraction Gauss-Jordan on [m | b], written independently of ncdef.linalg:
+    the RREF solution (free columns zero), or None when infeasible."""
+    rows = [[Fraction(m[i, j]) for j in range(m.cols)] + [Fraction(b[i])]
+            for i in range(m.rows)]
+    pivots = []
+    r = 0
+    for c in range(m.cols + 1):
+        k = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        p = rows[r][c]
+        rows[r] = [e / p for e in rows[r]]
+        for k in range(len(rows)):
+            if k != r and rows[k][c] != 0:
+                f = rows[k][c]
+                rows[k] = [a - f * e for a, e in zip(rows[k], rows[r])]
+        pivots.append(c)
+        r += 1
+    if pivots and pivots[-1] == m.cols:
+        return None
+    x = [Fraction(0)] * m.cols
+    for i, c in enumerate(pivots):
+        x[c] = rows[i][m.cols]
+    return x
+
+
+def _random_system(rng):
+    shape = rng.random()
+    if shape < 0.1:
+        rows, cols = 0, rng.randint(0, 5)
+    elif shape < 0.2:
+        rows, cols = rng.randint(1, 5), 0
+    else:
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+    m = _random_matrix(rng, rows, cols)
+    if rows > 1 and cols and rng.random() < 0.4:
+        # rank-deficient: the last row repeats a multiple of the first
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        m = DenseMatrix.from_rows([m.row(i) for i in range(rows - 1)]
+                                  + [[c * e for e in m.row(0)]])
+    return m
+
+
+def test_solve_matches_independent_gauss_jordan_on_200_random_systems():
+    rng = random.Random(20261018)
+    infeasible = 0
+    for _ in range(200):
+        m = _random_system(rng)
+        rhs = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m.rows)],
+               m.apply([Fraction(rng.randint(-3, 3)) for _ in range(m.cols)]),
+               [Fraction(0)] * m.rows]
+        for b in rhs:
+            expected = _reference_solve(m, b)
+            assert solve(m, b) == expected
+            infeasible += expected is None
+    # the draw includes infeasible right-hand sides
+    assert infeasible > 20
+
+
+def test_many_rhs_on_one_matrix_equal_fresh_matrices():
+    rng = random.Random(99)
+    for _ in range(20):
+        m = _random_system(rng)
+        for _ in range(10):
+            b = [Fraction(rng.randint(-4, 4)) if rng.random() < 0.5 else Fraction(0)
+                 for _ in range(m.rows)]
+            fresh = DenseMatrix(m.rows, m.cols, m.entries)
+            assert solve(m, b) == solve(fresh, b)
