@@ -7,6 +7,15 @@ localized case the basis may not involve the inverted variable, which makes
 reduction of Laurent monomials terminate. Derivations and morphisms act on
 normal forms and are certified against the relations at construction time.
 
+All three maps are linear: the normal form is the unique representative in
+the span of the standard monomials, so NF(sum c*m) = sum c*NF(m), and a
+derivation or morphism image is likewise the sum of its monomial images.
+Each algebra, derivation and morphism therefore rewrites or expands a
+monomial once and tables the result; every later application is a linear
+combination of table entries, built into a fresh dict, and equals the
+whole-polynomial computation term for term. A table lives as long as the
+object that owns it.
+
 Monomials are exponent tuples; only the inverted variable may carry a
 negative exponent, and its degree contribution is |exponent| so that every
 degree slice of the monomial basis is finite.
@@ -83,6 +92,26 @@ def p_mul(p, q):
 def p_leading(p):
     m = max(p, key=_deglex_key)
     return m, p[m]
+
+
+def _linear_image(poly, image):
+    """sum c * image(m) over the terms of poly, as a fresh terms dict."""
+    out = {}
+    for m, c in poly.items():
+        if not c:
+            continue
+        for mm, cc in image(m).items():
+            v = c if cc == 1 else c * cc
+            s = out.get(mm)
+            if s is None:
+                out[mm] = v
+            else:
+                s += v
+                if s:
+                    out[mm] = s
+                else:
+                    del out[mm]
+    return out
 
 
 def _divides(m, n):
@@ -270,7 +299,8 @@ class PresentedAlgebra:
     """Quotient of Q[variables] (one variable optionally inverted).
 
     The Groebner basis of the relation ideal is computed eagerly; instances
-    are immutable afterwards. ``normal_form`` is idempotent and the
+    are immutable afterwards, apart from the table of monomial normal forms
+    they fill as they go. ``normal_form`` is idempotent and the
     normal-form monomials of each total degree are finitely enumerable
     (Laurent exponents count with absolute value).
     """
@@ -293,9 +323,9 @@ class PresentedAlgebra:
             rels.append(poly)
         self.relations = rels
         self.groebner = buchberger(rels)
+        self._leading = [(g, p_leading(g)[0]) for g in self.groebner]
         if self.inverted:
-            for g in self.groebner:
-                lm, _ = p_leading(g)
+            for _g, lm in self._leading:
                 if lm[self._inv_index] != 0:
                     raise AlgebraError(
                         f"{self.name}: a Groebner leading monomial involves the "
@@ -303,6 +333,7 @@ class PresentedAlgebra:
                         "not compatible with this presentation/order"
                     )
         self._nf_cache: dict[int, list[tuple]] = {}
+        self._nf_table: dict[tuple, dict] = {}
 
     # -- monomial bookkeeping ------------------------------------------------
 
@@ -317,8 +348,7 @@ class PresentedAlgebra:
                 )
 
     def _reducible(self, mono):
-        for g in self.groebner:
-            lm, _ = p_leading(g)
+        for g, lm in self._leading:
             if all(mono[k] >= lm[k] for k in range(len(mono)) if k != self._inv_index):
                 return g, lm
         return None
@@ -344,6 +374,16 @@ class PresentedAlgebra:
     # -- normal forms ----------------------------------------------------------
 
     def _reduce_laurent(self, poly):
+        return _linear_image(poly, self._monomial_nf)
+
+    def _monomial_nf(self, mono):
+        """Normal form of one monomial, rewritten on first use and tabled."""
+        nf = self._nf_table.get(mono)
+        if nf is None:
+            nf = self._nf_table[mono] = self._rewrite({mono: _ONE})
+        return nf
+
+    def _rewrite(self, poly):
         work = dict(poly)
         out = {}
         while work:
@@ -530,6 +570,7 @@ class Derivation:
         self.algebra = algebra
         self.name = name
         self.images = {v: algebra.normal_form(images[v]) for v in algebra.variables}
+        self._table: dict[tuple, dict] = {}
         for rel in algebra.relations:
             value = self._apply_poly(rel)
             if not value.is_zero():
@@ -538,18 +579,24 @@ class Derivation:
                 )
 
     def _apply_poly(self, poly) -> AlgebraElement:
-        A = self.algebra
-        out = A.zero()
-        for m, c in poly.items():
-            for k, e in enumerate(m):
+        return AlgebraElement(self.algebra, _linear_image(poly, self._monomial_image))
+
+    def _monomial_image(self, mono):
+        """Leibniz expansion of one monomial, computed on first use and tabled."""
+        img = self._table.get(mono)
+        if img is None:
+            A = self.algebra
+            out = A.zero()
+            for k, e in enumerate(mono):
                 if e == 0:
                     continue
-                img = self.images[A.variables[k]]
-                if img.is_zero():
+                d = self.images[A.variables[k]]
+                if d.is_zero():
                     continue
-                lowered = tuple(x - 1 if i == k else x for i, x in enumerate(m))
-                out = out + A.normal_form({lowered: c * e}) * img
-        return out
+                lowered = tuple(x - 1 if i == k else x for i, x in enumerate(mono))
+                out = out + A.normal_form({lowered: e}) * d
+            img = self._table[mono] = out.terms
+        return img
 
     def __call__(self, e) -> AlgebraElement:
         e = self.algebra.normal_form(e)
@@ -581,6 +628,7 @@ class AlgebraMorphism:
         self.target = target
         self.name = name
         self.images = {v: target.normal_form(images[v]) for v in source.variables}
+        self._table: dict[tuple, dict] = {}
         self.inverse_image = None
         if source.inverted:
             if inverted_image_inverse is None:
@@ -602,19 +650,20 @@ class AlgebraMorphism:
                 )
 
     def _apply_poly(self, poly) -> AlgebraElement:
-        out = self.target.zero()
-        for m, c in poly.items():
-            term = self.target.normal_form(c)
-            for k, e in enumerate(m):
-                if e == 0:
-                    continue
-                v = self.source.variables[k]
+        return AlgebraElement(self.target, _linear_image(poly, self._monomial_image))
+
+    def _monomial_image(self, mono):
+        """Power product of generator images for one monomial, tabled."""
+        img = self._table.get(mono)
+        if img is None:
+            term = self.target.one()
+            for k, e in enumerate(mono):
                 if e > 0:
-                    term = term * self.images[v] ** e
-                else:
+                    term = term * self.images[self.source.variables[k]] ** e
+                elif e < 0:
                     term = term * self.inverse_image ** (-e)
-            out = out + term
-        return out
+            img = self._table[mono] = term.terms
+        return img
 
     def __call__(self, e) -> AlgebraElement:
         e = self.source.normal_form(e)

@@ -157,7 +157,7 @@ def _cmd_hull(args) -> int:
             "dim": result.hull.dim,
         },
         "verdicts": {
-            "hull_versal_zero_defect": ctx.validate(result.versal_datum).is_zero()
+            "hull_versal_zero_defect": result.versal_defect.is_zero()
         },
     }
     _emit(Report(payload, elapsed=time.perf_counter() - t0), args.format, args.out)

@@ -96,6 +96,7 @@ class CokernelPresentation:
         self._margin = self._shift + 4
         self._stages: dict[int, dict] = {}
         self._systems: dict[int, tuple] = {}
+        self._matrices: dict[int, tuple] = {}
         reps = None
         self.d_star = None
         for d in range(d_start, d_max - 1):
@@ -112,22 +113,29 @@ class CokernelPresentation:
     # -- truncation stages ------------------------------------------------------
 
     def _operator_matrix(self, d_in: int) -> tuple[DenseMatrix, int]:
+        """The derivation's matrix from degree <= d_in to degree <= d_in + shift,
+        with that target degree; built once per source degree and shift."""
+        if d_in in self._matrices:
+            return self._matrices[d_in]
         shift = self._shift
         while True:
             try:
                 m = truncated_operator_matrix(
                     self.derivation, self.algebra, self.algebra, d_in, d_in + shift
                 )
-                if shift != self._shift:
-                    self._shift = shift
-                    self._margin = shift + 4
-                    self._stages.clear()
-                    self._systems.clear()
-                return m, d_in + shift
+                break
             except TruncationEscape:
                 shift += 1
                 if d_in + shift > self.d_max + self._margin + 8:
                     raise NoStabilization(self.d_max, "derivation shift runaway")
+        if shift != self._shift:
+            self._shift = shift
+            self._margin = shift + 4
+            self._stages.clear()
+            self._systems.clear()
+            self._matrices.clear()
+        self._matrices[d_in] = (m, d_in + shift)
+        return self._matrices[d_in]
 
     def _stage(self, d: int) -> dict:
         """Image data at degree d: an echelon basis of the subspace of R_d hit

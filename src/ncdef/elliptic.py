@@ -277,9 +277,7 @@ def run_full_pipeline(cfg: EllipticConfig, hull_order: int = 4,
         "dims_by_radical_degree": hull.hull.radical_dims_by_order(),
         "dim": hull.hull.dim,
     }
-    payload["verdicts"]["hull_versal_zero_defect"] = ctx.validate(
-        hull.versal_datum
-    ).is_zero()
+    payload["verdicts"]["hull_versal_zero_defect"] = hull.versal_defect.is_zero()
 
     exp_order = hull_order + 1
     exp = exp_datum(ctx, exp_order)

@@ -487,10 +487,9 @@ class EngineContext:
         base = surj.source
         if te.is_zero():
             return [te.algebra.zero() for _ in surj.kernel_basis]
-        cols = [base.vector(k) for k in surj.kernel_basis]
-        if not cols:
+        mat = surj.kernel_matrix
+        if mat is None:
             raise UnsupportedDefect("nonzero defect with a zero kernel")
-        mat = DenseMatrix.from_columns(cols, nrows=base.dim)
         monomials = sorted({m for a in te.coeffs.values() for m in a.terms},
                            key=lambda m: (te.algebra.degree(m), m))
         out = [te.algebra.zero() for _ in surj.kernel_basis]
@@ -649,7 +648,8 @@ class EngineContext:
         log = []
         H = quotient(free, a_gens, name="H2")
         datum = self.first_order_datum(H)
-        if not self.validate(datum).is_zero():
+        defect = self.validate(datum)
+        if not defect.is_zero():
             raise EngineError("the first-order datum fails to validate")
         log.append({"order": 2, "dim": H.dim, "new_relations": []})
         for n in range(2, max_order):
@@ -685,7 +685,8 @@ class EngineContext:
                     f"order {n + 1}"
                 )
             datum = lifted.corrected(obst2.witness.E, obst2.witness.W)
-            if not self.validate(datum).is_zero():
+            defect = self.validate(datum)
+            if not defect.is_zero():
                 raise NoLiftPossible(f"corrected datum fails to validate at order {n + 1}")
             H = H_next
             a_gens = a_next
@@ -693,7 +694,7 @@ class EngineContext:
             new_by_order[n + 1] = [str(rel) for rel in fresh]
             log.append({"order": n + 1, "dim": H.dim,
                         "new_relations": [str(x) for x in fresh]})
-        return HullResult(max_order, H, relations, new_by_order, datum, log)
+        return HullResult(max_order, H, relations, new_by_order, datum, defect, log)
 
     # -- the tangent dimension check ---------------------------------------------------------
 
@@ -840,14 +841,17 @@ class EngineContext:
 class HullResult:
     """Output of the hull loop: the truncated hull algebra, its relation
     generators (with first-appearance bookkeeping), the validated versal
-    datum, and the per-order log."""
+    datum with the defect cochain its final validation produced, and the
+    per-order log."""
 
-    def __init__(self, order, hull, relations, new_by_order, versal_datum, log):
+    def __init__(self, order, hull, relations, new_by_order, versal_datum,
+                 versal_defect, log):
         self.order = order
         self.hull = hull
         self.relations = relations
         self.new_relations_by_order = new_by_order
         self.versal_datum = versal_datum
+        self.versal_defect = versal_defect
         self.log = log
 
     def relation_strings(self) -> list[str]:

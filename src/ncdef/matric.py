@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .linalg import DenseMatrix, solve
+
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -450,6 +452,11 @@ class SmallSurjection:
                 kernel.append(e)
         self.kernel_basis = kernel
         self._kernel_ech = ech
+        # one matrix per surjection, so every solve against it reuses one
+        # factorization; None for a zero kernel
+        self.kernel_matrix = DenseMatrix.from_columns(
+            [source.vector(k) for k in kernel], nrows=source.dim
+        ) if kernel else None
         rad = source.radical_basis(1)
         for k in kernel:
             for r in rad:
@@ -470,13 +477,9 @@ class SmallSurjection:
         """Coordinates of a kernel element in the kernel basis, or None."""
         if elem.is_zero():
             return [_ZERO] * len(self.kernel_basis)
-        from .linalg import DenseMatrix, solve
-
-        cols = [self.source.vector(k) for k in self.kernel_basis]
-        if not cols:
+        if self.kernel_matrix is None:
             return None
-        m = DenseMatrix.from_columns(cols, nrows=self.source.dim)
-        return solve(m, self.source.vector(elem))
+        return solve(self.kernel_matrix, self.source.vector(elem))
 
 
 class MatricMorphism:

@@ -270,3 +270,142 @@ def test_truncation_escape_reported():
     A, d2 = chart_A2(1, 1)
     with pytest.raises(TruncationEscape):
         truncated_operator_matrix(d2, A, A, 3, 3)
+
+
+# --- per-monomial tables --------------------------------------------------------
+
+
+def _reference_normal_form(A, poly):
+    """Whole-polynomial division by the stored Groebner basis, largest deglex
+    term first; Laurent input is first multiplied by a power of the inverted
+    variable that clears its denominators and divided by it at the end."""
+    inv = A._inv_index
+    shift = max([0] + [-m[inv] for m in poly]) if inv >= 0 else 0
+
+    def moved(m, by):
+        return tuple(e + by if k == inv else e for k, e in enumerate(m))
+
+    work = {moved(m, shift): Fraction(c) for m, c in poly.items()}
+    out = {}
+    while work:
+        m = max(work, key=lambda mm: (sum(mm), mm))
+        c = work.pop(m)
+        if not c:
+            continue
+        for g in A.groebner:
+            lm = max(g, key=lambda mm: (sum(mm), mm))
+            if all(a >= b for a, b in zip(m, lm)):
+                q = tuple(a - b for a, b in zip(m, lm))
+                for gm, gc in g.items():
+                    if gm != lm:
+                        mm = tuple(a + b for a, b in zip(q, gm))
+                        work[mm] = work.get(mm, 0) - c * gc / g[lm]
+                break
+        else:
+            out[m] = out.get(m, 0) + c
+    return {moved(m, -shift): c for m, c in out.items() if c}
+
+
+def _random_poly(rng, exponent_ranges, nterms=5):
+    return {
+        tuple(rng.randint(lo, hi) for lo, hi in exponent_ranges):
+            Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+        for _ in range(nterms)
+    }
+
+
+def _nonprincipal_algebra():
+    return PresentedAlgebra(["x", "y"], ["x^2 - y", "x*y - 1"], name="Q[x,y]/(x^2-y,xy-1)")
+
+
+@pytest.mark.parametrize("ab", [(1, 1), (0, 1), (Fraction(-3, 2), Fraction(2, 5))])
+def test_tabled_normal_form_matches_whole_polynomial_rewriting(ab):
+    rng = random.Random(2024)
+    cases = [
+        (chart_A1(*ab)[0], [(0, 6), (0, 6)]),
+        (chart_A2(*ab)[0], [(0, 6), (0, 6)]),
+        (chart_A3(*ab)[0], [(0, 6), (-5, 5)]),
+        (_nonprincipal_algebra(), [(0, 5), (0, 5)]),
+    ]
+    for A, ranges in cases:
+        for _ in range(25):
+            poly = _random_poly(rng, ranges)
+            expected = _reference_normal_form(A, poly)
+            assert A.normal_form(poly).terms == expected
+            # the second evaluation is served from the table
+            assert A.normal_form(poly).terms == expected
+
+
+def _leibniz(d, e):
+    A = d.algebra
+    out = A.zero()
+    for m, c in e.terms.items():
+        for k, exp in enumerate(m):
+            if exp:
+                lowered = tuple(x - 1 if i == k else x for i, x in enumerate(m))
+                out = out + A.normal_form({lowered: c * exp}) * d.images[A.variables[k]]
+    return out
+
+
+def _power_product(rho, e):
+    out = rho.target.zero()
+    for m, c in e.terms.items():
+        term = rho.target.normal_form(c)
+        for k, exp in enumerate(m):
+            factor = rho.images[rho.source.variables[k]] if exp > 0 else rho.inverse_image
+            for _ in range(abs(exp)):
+                term = term * factor
+        out = out + term
+    return out
+
+
+def _random_laurent_element(A, rng):
+    inv = A._inv_index
+    ranges = [(-4, 4) if k == inv else (0, 5) for k in range(len(A.variables))]
+    return A.normal_form(_random_poly(rng, ranges))
+
+
+@pytest.mark.parametrize("ab", [(1, 1), (0, 1)])
+def test_tabled_operator_images_match_leibniz_and_power_products(ab):
+    rng = random.Random(77)
+    charts = [chart_A1(*ab), chart_A2(*ab), chart_A3(*ab)]
+    for A, d in charts:
+        for _ in range(15):
+            e = _random_laurent_element(A, rng)
+            assert d(e) == _leibniz(d, e)
+            assert d(e) == _leibniz(d, e)
+    (A1, _), (A2, _), (A3, _) = charts
+    for rho in (restriction_13(A1, A3), restriction_23(A2, A3), identity_morphism(A3)):
+        for _ in range(15):
+            e = _random_laurent_element(rho.source, rng)
+            assert rho(e) == _power_product(rho, e)
+            assert rho(e) == _power_product(rho, e)
+
+
+def test_tables_belong_to_one_configuration():
+    A_01, d_01 = chart_A3(0, 1)
+    A_11, d_11 = chart_A3(1, 1)
+    assert str(A_01.normal_form("x^3")) == "-1 + y^2"
+    assert str(A_11.normal_form("x^3")) == "-1 - x + y^2"
+    assert str(A_01.normal_form("x^3")) == "-1 + y^2"
+    assert str(d_01(A_01.normal_form("y"))) == "-3*x^2"
+    assert str(d_11(A_11.normal_form("y"))) == "-1 - 3*x^2"
+
+
+def test_mutating_a_result_leaves_the_tables_intact():
+    A1, d1 = chart_A1(1, 1)
+    A3, d3 = chart_A3(1, 1)
+    rho = restriction_13(A1, A3)
+    results = [
+        lambda: A3.normal_form("x^3"),
+        lambda: A3.monomial_element((1, -2)),
+        lambda: A3.one(),
+        lambda: d3(A3.normal_form("x^2*y^-1")),
+        lambda: rho(A1.normal_form("x^2*z")),
+    ]
+    for make in results:
+        first = make()
+        expected = dict(first.terms)
+        first.terms.clear()
+        first.terms[(7, 7)] = Fraction(5)
+        assert make().terms == expected

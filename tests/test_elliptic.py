@@ -5,6 +5,7 @@ import pytest
 
 from ncdef import elliptic
 from ncdef.elliptic import INCL_13, INCL_23, U2, U3, SingularCurve
+from ncdef.engine import EngineContext
 
 
 @pytest.fixture(scope="module")
@@ -68,9 +69,29 @@ def test_omega_is_a_nonzero_class_in_both_regimes():
         assert coords == [1]  # omega is the installed basis vector itself
 
 
-def test_pipeline_report_a_nonzero():
+def test_pipeline_report_a_nonzero(monkeypatch):
+    validated, hulls = [], []
+    real_validate = EngineContext.validate
+    real_hull = EngineContext.hull_compute
+
+    def counting_validate(self, datum):
+        validated.append(datum)
+        return real_validate(self, datum)
+
+    def keeping_hull(self, max_order):
+        hulls.append(real_hull(self, max_order))
+        return hulls[-1]
+
+    monkeypatch.setattr(EngineContext, "validate", counting_validate)
+    monkeypatch.setattr(EngineContext, "hull_compute", keeping_hull)
     report = elliptic.run_full_pipeline(elliptic.build(1, 1), hull_order=4)
     assert report.elapsed < 60
+    # first order, cup table, 7 in the hull tower, exp datum: the verdict on
+    # the versal datum reads the hull's own final validation
+    assert len(validated) == 10
+    (hull,) = hulls
+    assert hull.versal_defect.is_zero()
+    assert validated.count(hull.versal_datum) == 1
     p = report.payload
     assert p["cohomology"]["dims"] == {"HH0": 1, "HH1": 2, "HH2": 1}
     assert p["hull"]["relations"] == ["t1*t2 - t2*t1"]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncdef import elliptic
+from ncdef import elliptic, linalg
 from ncdef.elliptic import INCL_13, INCL_23, U1, U2, U3
 from ncdef.engine import (
     EngineContext,
@@ -94,6 +94,32 @@ def test_second_order_obstruction_class_is_commutator(ctx11):
 
     assert str(_normalize_relation(rels[0])) == "t1*t2 - t2*t1"
     assert obst.witness is None
+
+
+def test_kernel_components_factor_the_kernel_matrix_once(ctx11, monkeypatch):
+    base = m3_base()
+    H2 = quotient(base.free, [
+        _word_elem(base.free, (i, j)) for i in range(2) for j in range(2)
+    ], name="H2")
+    surj = SmallSurjection(base, H2)
+    defect = ctx11.validate(ctx11.first_order_datum(base))
+    te = defect.d11[INCL_23]
+    assert not te.is_zero()
+    factored = []
+
+    class Counting(linalg._Factorization):
+        def __init__(self, m):
+            factored.append(m)
+            super().__init__(m)
+
+    monkeypatch.setattr(linalg, "_Factorization", Counting)
+    first = ctx11.kernel_components(te, surj)
+    assert ctx11.kernel_components(te, surj) == first
+    assert len(factored) == 1 and factored[0] is surj.kernel_matrix
+    rebuilt = TensorElement(te.algebra, base)
+    for a, kappa in zip(first, surj.kernel_basis):
+        rebuilt = rebuilt + TensorElement.from_pairs(te.algebra, base, [(a, kappa)])
+    assert rebuilt == te
 
 
 def test_zero_defect_gives_zero_class_and_zero_witness(ctx11):
@@ -210,6 +236,7 @@ def test_hull_order_two_stops_at_tangent_level(ctx11):
     result = ctx11.hull_compute(2)
     assert result.relations == []
     assert result.hull.dim == 3
+    assert result.versal_defect.is_zero()
     assert ctx11.validate(result.versal_datum).is_zero()
 
 
