@@ -114,34 +114,58 @@ def _linear_image(poly, image):
     return out
 
 
-def _divides(m, n):
-    return all(a <= b for a, b in zip(m, n))
+def _degree(mono, inv):
+    """Total degree; the inverted variable (index inv, -1 for none) counts
+    with |exponent|."""
+    return sum(abs(e) if k == inv else e for k, e in enumerate(mono))
+
+
+def _first_divisor(mono, leading, inv):
+    """The first (g, lm) pair whose lm divides mono away from index inv."""
+    for g, lm in leading:
+        if all(mono[k] >= lm[k] for k in range(len(mono)) if k != inv):
+            return g, lm
+    return None
+
+
+def _divide(poly, leading, inv):
+    """Full normal form of poly modulo monic polynomials.
+
+    ``leading`` lists (polynomial, leading monomial) pairs and ``inv`` is
+    the index of the inverted variable, -1 for none. Leading monomials do
+    not involve the inverted variable, so its exponent never blocks a
+    division, and terms are reduced largest first by (degree, exponents).
+    """
+    work = dict(poly)
+    out = {}
+    while work:
+        m = max(work, key=lambda mm: (_degree(mm, inv), mm))
+        c = work.pop(m)
+        hit = _first_divisor(m, leading, inv)
+        if hit is None:
+            s = out.get(m, _ZERO) + c
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+            continue
+        g, lm = hit
+        q = tuple(a - b for a, b in zip(m, lm))
+        for gm, gc in g.items():
+            if gm == lm:
+                continue
+            mm = tuple(a + b for a, b in zip(q, gm))
+            s = work.get(mm, _ZERO) - c * gc
+            if s:
+                work[mm] = s
+            else:
+                work.pop(mm, None)
+    return out
 
 
 def reduce_poly(p, basis):
     """Full normal form of p modulo a list of monic polynomials."""
-    work = dict(p)
-    out = {}
-    while work:
-        m = max(work, key=_deglex_key)
-        c = work.pop(m)
-        for g in basis:
-            lm, _ = p_leading(g)
-            if _divides(lm, m):
-                q = tuple(a - b for a, b in zip(m, lm))
-                for gm, gc in g.items():
-                    if gm == lm:
-                        continue
-                    mm = tuple(a + b for a, b in zip(q, gm))
-                    s = work.get(mm, out.pop(mm, _ZERO)) - c * gc
-                    if s:
-                        work[mm] = s
-                    else:
-                        work.pop(mm, None)
-                break
-        else:
-            out[m] = c
-    return out
+    return _divide(p, [(g, p_leading(g)[0]) for g in basis], -1)
 
 
 def _monic(p):
@@ -338,7 +362,7 @@ class PresentedAlgebra:
     # -- monomial bookkeeping ------------------------------------------------
 
     def degree(self, mono) -> int:
-        return sum(abs(e) if k == self._inv_index else e for k, e in enumerate(mono))
+        return _degree(mono, self._inv_index)
 
     def check_monomial(self, mono):
         for k, e in enumerate(mono):
@@ -348,10 +372,7 @@ class PresentedAlgebra:
                 )
 
     def _reducible(self, mono):
-        for g, lm in self._leading:
-            if all(mono[k] >= lm[k] for k in range(len(mono)) if k != self._inv_index):
-                return g, lm
-        return None
+        return _first_divisor(mono, self._leading, self._inv_index)
 
     def nf_monomials(self, degree: int) -> list[tuple]:
         """Normal-form monomials of total degree <= degree, sorted by (degree, exps)."""
@@ -380,35 +401,8 @@ class PresentedAlgebra:
         """Normal form of one monomial, rewritten on first use and tabled."""
         nf = self._nf_table.get(mono)
         if nf is None:
-            nf = self._nf_table[mono] = self._rewrite({mono: _ONE})
+            nf = self._nf_table[mono] = _divide({mono: _ONE}, self._leading, self._inv_index)
         return nf
-
-    def _rewrite(self, poly):
-        work = dict(poly)
-        out = {}
-        while work:
-            m = max(work, key=lambda mm: (self.degree(mm), mm))
-            c = work.pop(m)
-            hit = self._reducible(m)
-            if hit is None:
-                s = out.get(m, _ZERO) + c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-                continue
-            g, lm = hit
-            q = tuple(a - b for a, b in zip(m, lm))
-            for gm, gc in g.items():
-                if gm == lm:
-                    continue
-                mm = tuple(a + b for a, b in zip(q, gm))
-                s = work.get(mm, _ZERO) - c * gc
-                if s:
-                    work[mm] = s
-                else:
-                    work.pop(mm, None)
-        return out
 
     def normal_form(self, expr) -> AlgebraElement:
         """Coerce an expression (str, dict, scalar, element) to normal form."""

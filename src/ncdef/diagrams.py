@@ -170,9 +170,6 @@ class MorFunctor:
     def matrix(self, f: str, alpha: str, beta: str) -> DenseMatrix:
         return self.mats[(f, alpha, beta)]
 
-    def target_of(self, f: str, alpha: str, beta: str) -> str:
-        return self.base.compose(alpha, self.base.compose(f, beta))
-
     def check_functor(self):
         """Identities map to identity matrices; arrow matrices compose."""
         for f in self.base.morphisms.values():

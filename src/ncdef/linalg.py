@@ -2,10 +2,9 @@
 
 Every cohomology and obstruction computation in this package reduces to
 row reduction of a DenseMatrix with Fraction entries. Elimination itself
-runs fraction-free on integer-scaled rows, in the compiled kernel when the
-extension was built and in the pure-Python twin otherwise. Both kernels
-are deterministic and bit-identical, so results never depend on the
-backend.
+runs fraction-free on integer-scaled rows (``_rref_int``); growing
+subspaces, as in greedy complement selection, are echelonized one vector
+at a time by ``SubspaceReducer``.
 
 A matrix is immutable, so its eliminations are cached on it: ``rref``
 keeps the reduced form, and ``solve`` factors the matrix once (the RREF of
@@ -22,17 +21,7 @@ is unique, so the solution is the same whichever way it is computed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-
-from . import _purekernel
-
-try:
-    from . import _corekernel
-    _DEFAULT_KERNEL = _corekernel
-except ImportError:
-    _DEFAULT_KERNEL = _purekernel
-
-KERNEL_BACKEND = _DEFAULT_KERNEL.BACKEND
+from math import gcd, lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -195,27 +184,97 @@ def _integer_row(row) -> tuple[int, list[int]]:
     return d, [e.numerator * (d // e.denominator) for e in row]
 
 
-def rref(m: DenseMatrix, kernel=None) -> tuple[DenseMatrix, list[int]]:
+def _row_content(row) -> int:
+    g = 0
+    for e in row:
+        if e:
+            g = gcd(g, e if e >= 0 else -e)
+            if g == 1:
+                return 1
+    return g
+
+
+def _rref_int(rows, ncols) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free Gauss-Jordan elimination on integer rows.
+
+    Takes a list of integer rows (each of length ``ncols``), eliminates on
+    a copy, and returns ``(reduced_rows, pivots)``. Pivot selection is the
+    largest |entry| in the current column (ties: lowest row). Each returned
+    pivot row is divided by its content and sign-fixed so the pivot entry
+    is positive; entries above and below every pivot are zero. The caller
+    rescales rows to leading coefficient 1 over Q.
+    """
+    work = [list(r) for r in rows]
+    nrows = len(work)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        best = -1
+        best_abs = 0
+        for k in range(r, nrows):
+            e = work[k][c]
+            if e:
+                a = e if e >= 0 else -e
+                if a > best_abs:
+                    best_abs = a
+                    best = k
+        if best < 0:
+            continue
+        if best != r:
+            work[r], work[best] = work[best], work[r]
+        piv_row = work[r]
+        p = piv_row[c]
+        for k in range(nrows):
+            if k == r:
+                continue
+            e = work[k][c]
+            if e:
+                row_k = work[k]
+                for j in range(ncols):
+                    b = piv_row[j]
+                    a = row_k[j]
+                    if b:
+                        row_k[j] = p * a - e * b if a else -e * b
+                    elif a:
+                        row_k[j] = p * a
+                g = _row_content(row_k)
+                if g > 1:
+                    for j in range(ncols):
+                        row_k[j] //= g
+        pivots.append(c)
+        r += 1
+    out = []
+    for i, c in enumerate(pivots):
+        row = work[i]
+        g = _row_content(row)
+        if row[c] < 0:
+            g = -g
+        if g != 1 and g != 0:
+            row = [e // g for e in row]
+        out.append(row)
+    return out, pivots
+
+
+def rref(m: DenseMatrix) -> tuple[DenseMatrix, list[int]]:
     """Reduced row-echelon form and the (strictly increasing) pivot columns.
 
     Row scaling to integers preserves the row space, so the RREF computed
     fraction-free agrees with the RREF over Q.
     """
-    if m._rref is not None and kernel is None:
+    if m._rref is not None:
         return m._rref
-    k = kernel or _DEFAULT_KERNEL
-    int_rows, pivots = k.rref_int(
+    int_rows, pivots = _rref_int(
         [_integer_row(m.row(i))[1] for i in range(m.rows)], m.cols
     )
     entries = []
     for row, c in zip(int_rows, pivots):
         p = row[c]
-        entries.extend(Fraction(e, p) for e in row)
+        entries.extend(Fraction(e, p) if e else _ZERO for e in row)
     entries.extend([_ZERO] * ((m.rows - len(pivots)) * m.cols))
-    result = (DenseMatrix(m.rows, m.cols, entries), pivots)
-    if kernel is None:
-        m._rref = result
-    return result
+    m._rref = (DenseMatrix(m.rows, m.cols, entries), pivots)
+    return m._rref
 
 
 def rank(m: DenseMatrix) -> int:
@@ -270,7 +329,7 @@ class _Factorization:
             unit[i] = d
             aug.append(row + unit)
         # [m | I] has full row rank, so every row of the result holds a pivot
-        int_rows, pivots = _DEFAULT_KERNEL.rref_int(aug, m.cols + m.rows)
+        int_rows, pivots = _rref_int(aug, m.cols + m.rows)
         rank = sum(1 for c in pivots if c < m.cols)
         self.pivots = pivots[:rank]
         self.heads = [row[c] for row, c in zip(int_rows, self.pivots)]
@@ -316,23 +375,30 @@ class SubspaceReducer:
     """Incremental membership oracle for a growing subspace of Q^n.
 
     Maintains an echelonized basis; ``residual`` reduces a vector against
-    the current rows, ``add`` inserts an independent vector. Used for greedy
-    complement selection and span comparisons.
+    the current rows, ``add`` inserts an independent vector. A new row
+    pivots on its first nonzero index, scanning from 0 up, or from dim - 1
+    down with ``descending=True``. The unit vectors at the indices without
+    a pivot span a canonical complement of the subspace: the large indices,
+    or with ``descending=True`` the small ones. Used for greedy complement
+    selection and span comparisons.
     """
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, descending: bool = False):
         self.dim = dim
         self.rows: list[list[Fraction]] = []
         self.pivots: list[int] = []
+        self._scan = range(dim - 1, -1, -1) if descending else range(dim)
 
     def residual(self, vec) -> list[Fraction]:
-        v = [_as_fraction(e) for e in vec]
+        # the exact class test keeps this pass cheap on matric's hot path,
+        # whose vectors are already Fractions
+        v = [e if e.__class__ is Fraction else Fraction(e) for e in vec]
         for row, p in zip(self.rows, self.pivots):
             c = v[p]
             if c:
-                for j in range(self.dim):
-                    if row[j]:
-                        v[j] -= c * row[j]
+                for j, r in enumerate(row):
+                    if r:
+                        v[j] -= c * r
         return v
 
     def contains(self, vec) -> bool:
@@ -341,16 +407,16 @@ class SubspaceReducer:
     def add(self, vec) -> bool:
         """Insert vec; returns True if it enlarged the subspace."""
         v = self.residual(vec)
-        for p in range(self.dim):
+        for p in self._scan:
             if v[p]:
                 inv = v[p]
                 v = [e / inv for e in v]
                 for row in self.rows:
                     c = row[p]
                     if c:
-                        for j in range(self.dim):
-                            if v[j]:
-                                row[j] -= c * v[j]
+                        for j, e in enumerate(v):
+                            if e:
+                                row[j] -= c * e
                 self.rows.append(v)
                 self.pivots.append(p)
                 return True

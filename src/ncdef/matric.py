@@ -4,16 +4,17 @@ generators, two-sided quotients, small surjections, commutativization.
 Basis words of the truncated free algebra are the idempotents e_1..e_p and
 the composable generator paths of length < N (paths of length >= N vanish).
 Quotients keep a canonical monomial basis: the ideal subspace is echelonized
-against the word basis scanned from the largest word down, so the surviving
-complement words are the small ones (for the commutator ideal on t1, t2 the
-class of t1*t2 = t2*t1 is stored as t1*t2).
+by a ``linalg.SubspaceReducer`` that pivots on the largest word first
+(``descending=True``), so the surviving complement words are the small ones
+(for the commutator ideal on t1, t2 the class of t1*t2 = t2*t1 is stored as
+t1*t2).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import DenseMatrix, solve
+from .linalg import DenseMatrix, SubspaceReducer, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -213,9 +214,6 @@ class MatricElement:
             return free.truncation
         return min(free.word_length(w) for w in self.coeffs)
 
-    def leading_word(self):
-        return max(self.coeffs, key=_word_key)
-
     def __str__(self):
         free = self.parent.free if isinstance(self.parent, MatricArtin) else self.parent
         if not self.coeffs:
@@ -237,50 +235,6 @@ class MatricElement:
     __repr__ = __str__
 
 
-class _DescendingEchelon:
-    """Echelon basis of a subspace of free coordinates, pivoting on the
-    largest word first so canonical complements keep the small words."""
-
-    def __init__(self, dim):
-        self.dim = dim
-        self.rows = []
-        self.pivots = []
-
-    def residual(self, vec):
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                for j in range(self.dim):
-                    if row[j]:
-                        v[j] -= c * row[j]
-        return v
-
-    def add(self, vec) -> bool:
-        v = self.residual(vec)
-        for p in range(self.dim - 1, -1, -1):
-            if v[p]:
-                inv = v[p]
-                v = [e / inv for e in v]
-                for row in self.rows:
-                    c = row[p]
-                    if c:
-                        for j in range(self.dim):
-                            if v[j]:
-                                row[j] -= c * v[j]
-                self.rows.append(v)
-                self.pivots.append(p)
-                return True
-        return False
-
-    def contains(self, vec) -> bool:
-        return all(e == 0 for e in self.residual(vec))
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-
 class MatricArtin:
     """Two-sided quotient of a truncated free matric algebra.
 
@@ -294,7 +248,7 @@ class MatricArtin:
         self.p = free.p
         self.name = name
         self.ideal_generators = list(ideal_generators)
-        ech = _DescendingEchelon(free.dim)
+        ech = SubspaceReducer(free.dim, descending=True)
         for g in self.ideal_generators:
             if any(free.word_length(w) == 0 for w in g.coeffs):
                 raise MatricError("ideal generator outside the radical")
@@ -373,7 +327,7 @@ class MatricArtin:
 
     def radical_basis(self, min_order: int = 1) -> list[MatricElement]:
         """Basis of I(R)^min_order as a subspace of the quotient."""
-        ech = _DescendingEchelon(self.dim)
+        ech = SubspaceReducer(self.dim, descending=True)
         out = []
         for w in self.free.radical_words(min_order):
             e = self.reduce(self.free.element({w: _ONE}))
@@ -444,7 +398,7 @@ class SmallSurjection:
                 raise MatricError("target is not a further quotient of source")
         self.source = source
         self.target = target
-        ech = _DescendingEchelon(source.dim)
+        ech = SubspaceReducer(source.dim, descending=True)
         kernel = []
         for row in target._ideal.rows:
             e = source.reduce(source.free.from_vector(row))

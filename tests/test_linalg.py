@@ -14,7 +14,6 @@ from ncdef.linalg import (
     rref,
     solve,
 )
-from ncdef import _purekernel
 
 
 def test_rref_identity():
@@ -113,22 +112,6 @@ def test_rank_nullity_and_solve_roundtrip_200_random_matrices():
         assert red.rank == rows
 
 
-def test_pure_and_compiled_kernels_agree():
-    rng = random.Random(7)
-    kernels = [_purekernel]
-    try:
-        from ncdef import _corekernel
-
-        kernels.append(_corekernel)
-    except ImportError:
-        pass
-    for _ in range(40):
-        m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        results = [rref(m, kernel=k) for k in kernels]
-        for other in results[1:]:
-            assert other == results[0]
-
-
 def test_rref_is_idempotent():
     rng = random.Random(11)
     for _ in range(25):
@@ -141,14 +124,14 @@ def test_rref_is_idempotent():
 # --- the factored solve ----------------------------------------------------------
 
 
-def _reference_solve(m, b):
-    """Fraction Gauss-Jordan on [m | b], written independently of ncdef.linalg:
-    the RREF solution (free columns zero), or None when infeasible."""
-    rows = [[Fraction(m[i, j]) for j in range(m.cols)] + [Fraction(b[i])]
-            for i in range(m.rows)]
+def _reference_rref(rows):
+    """Fraction Gauss-Jordan, written independently of ncdef.linalg: the
+    reduced rows (zero rows last) and the pivot columns."""
+    rows = [[Fraction(e) for e in row] for row in rows]
+    ncols = len(rows[0]) if rows else 0
     pivots = []
     r = 0
-    for c in range(m.cols + 1):
+    for c in range(ncols):
         k = next((k for k in range(r, len(rows)) if rows[k][c] != 0), None)
         if k is None:
             continue
@@ -161,6 +144,15 @@ def _reference_solve(m, b):
                 rows[k] = [a - f * e for a, e in zip(rows[k], rows[r])]
         pivots.append(c)
         r += 1
+    return rows, pivots
+
+
+def _reference_solve(m, b):
+    """The RREF solution of m @ x = b (free columns zero), or None when
+    the system is infeasible."""
+    rows, pivots = _reference_rref(
+        [list(m.row(i)) + [b[i]] for i in range(m.rows)]
+    )
     if pivots and pivots[-1] == m.cols:
         return None
     x = [Fraction(0)] * m.cols
@@ -202,6 +194,23 @@ def test_solve_matches_independent_gauss_jordan_on_200_random_systems():
     assert infeasible > 20
 
 
+def test_rref_matches_independent_gauss_jordan_on_200_random_matrices():
+    rng = random.Random(20261019)
+    shapes = set()
+    for _ in range(200):
+        m = _random_system(rng)
+        if rng.random() < 0.1:
+            m = DenseMatrix.zero(m.rows, m.cols)
+        rows, pivots = _reference_rref([list(m.row(i)) for i in range(m.rows)])
+        r, got = rref(m)
+        assert got == pivots
+        assert r == DenseMatrix(m.rows, m.cols, [e for row in rows for e in row])
+        shapes.add("0 x n" if not m.rows else "n x 0" if not m.cols
+                   else "zero" if not pivots else
+                   "deficient" if len(pivots) < min(m.rows, m.cols) else "full")
+    assert shapes == {"0 x n", "n x 0", "zero", "deficient", "full"}
+
+
 def test_many_rhs_on_one_matrix_equal_fresh_matrices():
     rng = random.Random(99)
     for _ in range(20):
@@ -211,3 +220,45 @@ def test_many_rhs_on_one_matrix_equal_fresh_matrices():
                  for _ in range(m.rows)]
             fresh = DenseMatrix(m.rows, m.cols, m.entries)
             assert solve(m, b) == solve(fresh, b)
+
+
+# --- the incremental echelon ------------------------------------------------------
+
+
+def test_subspace_reducer_pivot_order():
+    e = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    e0_plus_e3 = [a + b for a, b in zip(e[0], e[3])]
+    for descending, pivots, complement in ((True, [3, 1], [0, 2]),
+                                           (False, [0, 1], [2, 3])):
+        red = SubspaceReducer(4, descending=descending)
+        assert red.add(e0_plus_e3) and red.add(e[1])
+        assert not red.add([2 * a - b for a, b in zip(e0_plus_e3, e[1])])
+        assert red.pivots == pivots
+        # the indices without a pivot complement the subspace
+        assert [i for i in range(4) if i not in red.pivots] == complement
+        assert all(red.add(e[i]) for i in complement)
+        assert red.rank == 4
+
+
+def test_subspace_reducer_rank_and_membership_match_rref_and_solve():
+    rng = random.Random(20261020)
+    outcomes = set()
+    for _ in range(60):
+        dim = rng.randint(1, 6)
+        vectors = [list(_random_matrix(rng, 1, dim).row(0))
+                   for _ in range(rng.randint(0, 5))]
+        if len(vectors) > 1 and rng.random() < 0.5:
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            vectors.append([c * a + b for a, b in zip(vectors[0], vectors[1])])
+        span = DenseMatrix.from_columns(vectors, nrows=dim)
+        probes = [list(_random_matrix(rng, 1, dim).row(0)) for _ in range(3)]
+        probes.append(span.apply([Fraction(rng.randint(-2, 2)) for _ in vectors]))
+        for descending in (False, True):
+            red = SubspaceReducer(dim, descending=descending)
+            for v in vectors:
+                red.add(v)
+            assert red.rank == rank(span)
+            for b in probes:
+                assert red.contains(b) == (solve(span, b) is not None)
+                outcomes.add(red.contains(b))
+    assert outcomes == {False, True}
