@@ -26,14 +26,43 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _hull_order(text: str) -> int:
-    try:
-        order = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if order < 2:
-        raise argparse.ArgumentTypeError(f"hull order must be >= 2, got {order}")
-    return order
+def _int_at_least(low: int, what: str):
+    """Argument type: an integer >= low, else a usage error naming `what`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+_RATIONAL_OPTIONS = ("--a", "--b")
+
+
+def _attach_negative_rationals(argv: list[str]) -> list[str]:
+    """Spell `--b -5/7` as `--b=-5/7`.
+
+    argparse reads a separate value that starts with '-' as an option unless
+    it looks like a negative decimal, so a negative fraction needs the '='
+    spelling; this gives it to every value of a rational option that parses.
+    """
+    out = []
+    for tok in argv:
+        if out and out[-1] in _RATIONAL_OPTIONS and tok.startswith("-"):
+            try:
+                Fraction(tok)
+            except (ValueError, ZeroDivisionError):
+                pass
+            else:
+                out[-1] = f"{out[-1]}={tok}"
+                continue
+        out.append(tok)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,9 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("elliptic", help="full pipeline for the plane-cubic charts")
-    p.add_argument("--a", type=_rational, required=True, help="rational, e.g. 1 or 3/2")
+    p.add_argument("--a", type=_rational, required=True, help="rational, e.g. 1, 3/2 or -5/7")
     p.add_argument("--b", type=_rational, required=True)
-    p.add_argument("--hull-order", type=_hull_order, default=4)
+    p.add_argument("--hull-order", type=_int_at_least(2, "hull order"), default=4)
     p.add_argument("--dmax", type=int, default=24)
     p.add_argument("--format", choices=("json", "md"), default="md")
     p.add_argument("--full-complex", action="store_true",
@@ -55,7 +84,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohomology", help="cohomology of a serialized diagram")
     p.add_argument("diagram", help="diagram JSON (schema ncdef-diagram/1)")
-    p.add_argument("--p-max", type=int, default=2)
+    p.add_argument("--p-max", type=_int_at_least(1, "p-max"), default=2)
     p.add_argument("--full-complex", action="store_true",
                    help="use the non-normalized complex")
     p.add_argument("--format", choices=("json", "md"), default="md")
@@ -172,6 +201,7 @@ def _cmd_selftest(_args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_negative_rationals(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

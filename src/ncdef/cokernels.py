@@ -176,9 +176,7 @@ class CokernelPresentation:
         reps = []
 
         def try_monomial(m):
-            unit = [_ZERO] * len(basis)
-            unit[index[m]] = _ONE
-            if reducer.add(unit):
+            if reducer.add({index[m]: _ONE}):
                 reps.append(m)
 
         for m in self.preferred:

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from .diagrams import FiniteCategory, MorFunctor
-from .linalg import DenseMatrix
+from .linalg import _ZERO, DenseMatrix
 
 SCHEMA = "ncdef-diagram/1"
 
@@ -74,10 +74,14 @@ def functor_from_dict(data: dict) -> tuple[FiniteCategory, MorFunctor]:
             f"b{k}" for k in range(dims[name])
         ]
     mats = {}
+    # one Fraction per distinct entry string: parsing is most of a load, and
+    # zeros shared with linalg's products let matrix comparisons stop at identity
+    parsed = {"0": _ZERO}
     for entry in data["maps"]:
         f, alpha, beta = entry["of"], entry["alpha"], entry["beta"]
         g = base.compose(alpha, base.compose(f, beta))
-        rows = [[Fraction(x) for x in row] for row in entry["matrix"]]
+        rows = [[parsed[x] if x in parsed else parsed.setdefault(x, Fraction(x))
+                 for x in row] for row in entry["matrix"]]
         if len(rows) != dims[g] or any(len(r) != dims[f] for r in rows):
             raise DiagramFormatError(
                 f"matrix for ({f},{alpha},{beta}) has the wrong shape"

@@ -177,13 +177,15 @@ class MorFunctor:
             idb = self.base.identity[f.tgt]
             if self.matrix(f.name, ida, idb) != DenseMatrix.identity(self.dims[f.name]):
                 raise CategoryError(f"identity arrow at {f.name} is not the identity matrix")
-        for (f, alpha, beta, g) in self.base.mor_arrows():
+        arrows = self.base.mor_arrows()
+        arrows_from = {f: [] for f in self.base.morphisms}
+        for arrow in arrows:
+            arrows_from[arrow[0]].append(arrow)
+        for (f, alpha, beta, g) in arrows:
             m1 = self.matrix(f, alpha, beta)
             if (m1.rows, m1.cols) != (self.dims[g], self.dims[f]):
                 raise CategoryError(f"matrix shape mismatch at ({f},{alpha},{beta})")
-            for (g2, alpha2, beta2, h) in self.base.mor_arrows():
-                if g2 != g:
-                    continue
+            for (_g, alpha2, beta2, _h) in arrows_from[g]:
                 comp_alpha = self.base.compose(alpha2, alpha)
                 comp_beta = self.base.compose(beta, beta2)
                 lhs = self.matrix(g, alpha2, beta2) @ m1
@@ -368,7 +370,7 @@ class CohomologyGroup:
         red = SubspaceReducer(rc.space_dims[p])
         for b in boundaries:
             red.add(b)
-        self.representatives = [z for z in cocycles if red.add([e for e in z])]
+        self.representatives = [z for z in cocycles if red.add(z)]
         self._system = None
 
     @property

@@ -1,10 +1,18 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals, in cost proportional to nonzeros.
 
 Every cohomology and obstruction computation in this package reduces to
 row reduction of a DenseMatrix with Fraction entries. Elimination itself
 runs fraction-free on integer-scaled rows (``_rref_int``); growing
 subspaces, as in greedy complement selection, are echelonized one vector
 at a time by ``SubspaceReducer``.
+
+A DenseMatrix stores every entry, but its products read only the nonzero
+ones: ``@`` and ``apply`` take the nonzero ``(index, entry)`` pairs of each
+row of the right factor once and accumulate over the nonzero entries of
+the left one. The one sparse format is a dict ``{index: Fraction}`` holding
+the nonzero entries of a vector; ``SubspaceReducer`` keeps its rows in it
+and accepts it as input, so callers with sparse data (the matric quotients
+over free algebras of a few hundred words) never build dense vectors.
 
 A matrix is immutable, so its eliminations are cached on it: ``rref``
 keeps the reduced form, and ``solve`` factors the matrix once (the RREF of
@@ -16,6 +24,11 @@ is unique, so the solution is the same whichever way it is computed.
 >>> r, pivots = rref(m)
 >>> r.row(0), r.row(1), pivots
 ((Fraction(1, 1), Fraction(2, 1)), (Fraction(0, 1), Fraction(0, 1)), [0])
+>>> red = SubspaceReducer(3)
+>>> red.add({0: 1, 2: 2}), red.add([0, 0, 4]), red.contains({0: 3})
+(True, True, True)
+>>> red.residual({1: Fraction(1, 2), 2: 1})
+{1: Fraction(1, 2)}
 """
 
 from __future__ import annotations
@@ -40,10 +53,12 @@ def _as_fraction(x) -> Fraction:
 class DenseMatrix:
     """Immutable rows x cols grid of Fractions."""
 
-    __slots__ = ("rows", "cols", "entries", "_rref", "_factor")
+    __slots__ = ("rows", "cols", "entries", "_rref", "_factor", "_nonzeros")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(_as_fraction(e) for e in entries)
+        # the exact class test passes the Fractions of internal callers
+        # through without a call per entry
+        entries = tuple(e if e.__class__ is Fraction else Fraction(e) for e in entries)
         if len(entries) != rows * cols:
             raise DimensionMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
@@ -53,6 +68,7 @@ class DenseMatrix:
         self.entries = entries
         self._rref = None
         self._factor = None
+        self._nonzeros = None
 
     @classmethod
     def from_rows(cls, rows) -> DenseMatrix:
@@ -129,41 +145,49 @@ class DenseMatrix:
         c = _as_fraction(c)
         return DenseMatrix(self.rows, self.cols, [c * e for e in self.entries])
 
+    def _sparse_rows(self) -> list[list[tuple[int, Fraction]]]:
+        """The nonzero (column, entry) pairs of each row, read once."""
+        if self._nonzeros is None:
+            n, e = self.cols, self.entries
+            self._nonzeros = [[(j, b) for j, b in enumerate(e[k * n:(k + 1) * n]) if b]
+                              for k in range(self.rows)]
+        return self._nonzeros
+
     def __matmul__(self, other: DenseMatrix) -> DenseMatrix:
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        right = other._sparse_rows()
         out = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                s = _ZERO
-                for k in range(self.cols):
-                    a = ri[k]
-                    if a:
-                        b = other.entries[k * other.cols + j]
-                        if b:
-                            s += a * b
-                out.append(s)
+            acc = [_ZERO] * other.cols
+            for k, a in enumerate(self.row(i)):
+                if a:
+                    for j, b in right[k]:
+                        acc[j] += a * b
+            out.extend(acc)
         return DenseMatrix(self.rows, other.cols, out)
 
     def apply(self, vec) -> list:
         """Matrix-vector product, vec of length cols."""
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length != cols")
+        terms = [(k, x) for k, x in enumerate(vec) if x]
+        n, e = self.cols, self.entries
         out = []
         for i in range(self.rows):
+            base = i * n
             s = _ZERO
-            ri = self.row(i)
-            for k in range(self.cols):
-                if ri[k] and vec[k]:
-                    s += ri[k] * vec[k]
+            for k, x in terms:
+                a = e[base + k]
+                if a:
+                    s += a * x
             out.append(s)
         return out
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self.entries)
 
     def hstack(self, other: DenseMatrix) -> DenseMatrix:
         if self.rows != other.rows:
@@ -371,57 +395,83 @@ def solve(m: DenseMatrix, b) -> list[Fraction] | None:
     return x
 
 
+def _sparse(vec) -> dict[int, Fraction]:
+    """A fresh ``{index: Fraction}`` dict of the nonzero entries of a dict
+    or dense vector."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {k: e if e.__class__ is Fraction else Fraction(e) for k, e in items if e}
+
+
 class SubspaceReducer:
     """Incremental membership oracle for a growing subspace of Q^n.
 
-    Maintains an echelonized basis; ``residual`` reduces a vector against
-    the current rows, ``add`` inserts an independent vector. A new row
-    pivots on its first nonzero index, scanning from 0 up, or from dim - 1
-    down with ``descending=True``. The unit vectors at the indices without
-    a pivot span a canonical complement of the subspace: the large indices,
-    or with ``descending=True`` the small ones. Used for greedy complement
-    selection and span comparisons.
+    Maintains a reduced echelon basis: ``rows`` are sparse
+    ``{index: Fraction}`` dicts, each 1 at its pivot and 0 at every other
+    row's pivot. ``residual`` reduces a vector against them, ``add``
+    inserts an independent vector; both take a dict or a dense vector. A
+    new row pivots on its first nonzero index, scanning from 0 up, or from
+    dim - 1 down with ``descending=True``. The unit vectors at the indices
+    without a pivot span a canonical complement of the subspace: the large
+    indices, or with ``descending=True`` the small ones. Used for greedy
+    complement selection and span comparisons.
     """
 
     def __init__(self, dim: int, descending: bool = False):
         self.dim = dim
-        self.rows: list[list[Fraction]] = []
-        self.pivots: list[int] = []
-        self._scan = range(dim - 1, -1, -1) if descending else range(dim)
+        # pivot -> row, in the order the rows were added
+        self._rows: dict[int, dict[int, Fraction]] = {}
+        self._first = max if descending else min
 
-    def residual(self, vec) -> list[Fraction]:
-        # the exact class test keeps this pass cheap on matric's hot path,
-        # whose vectors are already Fractions
-        v = [e if e.__class__ is Fraction else Fraction(e) for e in vec]
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c:
-                for j, r in enumerate(row):
-                    if r:
-                        v[j] -= c * r
+    @property
+    def rows(self) -> list[dict[int, Fraction]]:
+        return list(self._rows.values())
+
+    @property
+    def pivots(self) -> list[int]:
+        return list(self._rows)
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def residual(self, vec) -> dict[int, Fraction]:
+        """The nonzero entries of vec minus its projection on the rows."""
+        v = _sparse(vec)
+        rows = self._rows
+        # the rows are reduced, so each pivot's coefficient is vec's own entry
+        for p in [p for p in v if p in rows]:
+            _axpy(v, -v[p], rows[p])
         return v
 
     def contains(self, vec) -> bool:
-        return all(e == 0 for e in self.residual(vec))
+        return not self.residual(vec)
 
     def add(self, vec) -> bool:
         """Insert vec; returns True if it enlarged the subspace."""
         v = self.residual(vec)
-        for p in self._scan:
-            if v[p]:
-                inv = v[p]
-                v = [e / inv for e in v]
-                for row in self.rows:
-                    c = row[p]
-                    if c:
-                        for j, e in enumerate(v):
-                            if e:
-                                row[j] -= c * e
-                self.rows.append(v)
-                self.pivots.append(p)
-                return True
-        return False
+        if not v:
+            return False
+        p = self._first(v)
+        inv = v[p]
+        if inv != 1:
+            v = {j: e / inv for j, e in v.items()}
+        for row in self._rows.values():
+            c = row.get(p)
+            if c:
+                _axpy(row, -c, v)
+        self._rows[p] = v
+        return True
 
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
+
+def _axpy(v: dict, c: Fraction, row: dict) -> None:
+    """v += c * row on sparse vectors, dropping the entries that cancel."""
+    for j, r in row.items():
+        s = v.get(j)
+        if s is None:
+            v[j] = c * r
+        else:
+            s += c * r
+            if s:
+                v[j] = s
+            else:
+                del v[j]

@@ -7,7 +7,9 @@ Quotients keep a canonical monomial basis: the ideal subspace is echelonized
 by a ``linalg.SubspaceReducer`` that pivots on the largest word first
 (``descending=True``), so the surviving complement words are the small ones
 (for the commutator ideal on t1, t2 the class of t1*t2 = t2*t1 is stored as
-t1*t2).
+t1*t2). Elements reach the echelon as sparse ``{word index: coefficient}``
+dicts (``MatricTruncatedFree.sparse``), so no step of a quotient builds a
+vector as long as the free algebra.
 """
 
 from __future__ import annotations
@@ -150,14 +152,10 @@ class MatricTruncatedFree:
                         out.pop(w, None)
         return MatricElement(self, out)
 
-    def vector(self, elem: MatricElement) -> list:
-        v = [_ZERO] * self.dim
-        for w, c in elem.coeffs.items():
-            v[self.index[w]] = c
-        return v
-
-    def from_vector(self, vec) -> MatricElement:
-        return self.element({self.basis[k]: c for k, c in enumerate(vec) if c})
+    def sparse(self, elem: MatricElement) -> dict:
+        """Sparse coordinates {basis index: coefficient} of a free element."""
+        index = self.index
+        return {index[w]: c for w, c in elem.coeffs.items()}
 
 
 class MatricElement:
@@ -252,7 +250,7 @@ class MatricArtin:
         for g in self.ideal_generators:
             if any(free.word_length(w) == 0 for w in g.coeffs):
                 raise MatricError("ideal generator outside the radical")
-            ech.add(free.vector(g))
+            ech.add(free.sparse(g))
         # two-sided closure: multiply by idempotents and length-1 generators
         side = [free.idempotent(i) for i in range(1, free.p + 1)]
         side += [free.element({("w", (gi,)): _ONE}) for gi in range(len(free.gens))]
@@ -262,7 +260,7 @@ class MatricArtin:
             for s in frontier:
                 for m in side:
                     for prod in (m * s, s * m):
-                        if not prod.is_zero() and ech.add(free.vector(prod)):
+                        if not prod.is_zero() and ech.add(free.sparse(prod)):
                             new.append(prod)
             frontier = new
         self._ideal = ech
@@ -279,10 +277,14 @@ class MatricArtin:
 
     def reduce(self, elem: MatricElement) -> MatricElement:
         """Canonical representative: free element reduced mod the ideal."""
-        v = self._ideal.residual(self.free.vector(elem))
-        return MatricElement(self, {
-            self.free.basis[k]: c for k, c in enumerate(v) if c
-        })
+        return self._reduce_sparse(self.free.sparse(elem))
+
+    def _reduce_sparse(self, vec: dict) -> MatricElement:
+        """The reduced element of sparse free coordinates, its words in
+        basis order."""
+        basis = self.free.basis
+        v = self._ideal.residual(vec)
+        return MatricElement(self, {basis[k]: v[k] for k in sorted(v)})
 
     def element(self, coeffs: dict) -> MatricElement:
         return self.reduce(self.free.element(coeffs))
@@ -300,7 +302,7 @@ class MatricArtin:
         return self.reduce(self.free.generator(name))
 
     def in_ideal(self, elem: MatricElement) -> bool:
-        return self._ideal.contains(self.free.vector(elem))
+        return self._ideal.contains(self.free.sparse(elem))
 
     def multiply(self, a: MatricElement, b: MatricElement) -> MatricElement:
         out = self.zero()
@@ -320,8 +322,10 @@ class MatricArtin:
             v[self.qindex[w]] = c
         return v
 
-    def from_vector(self, vec) -> MatricElement:
-        return MatricElement(self, {self.qbasis[k]: c for k, c in enumerate(vec) if c})
+    def sparse(self, elem: MatricElement) -> dict:
+        """Sparse coordinates {quotient basis index: coefficient}."""
+        qindex = self.qindex
+        return {qindex[w]: c for w, c in elem.coeffs.items()}
 
     # -- structure ------------------------------------------------------------
 
@@ -331,7 +335,7 @@ class MatricArtin:
         out = []
         for w in self.free.radical_words(min_order):
             e = self.reduce(self.free.element({w: _ONE}))
-            if not e.is_zero() and ech.add(self.vector(e)):
+            if not e.is_zero() and ech.add(self.sparse(e)):
                 out.append(e)
         return out
 
@@ -401,8 +405,8 @@ class SmallSurjection:
         ech = SubspaceReducer(source.dim, descending=True)
         kernel = []
         for row in target._ideal.rows:
-            e = source.reduce(source.free.from_vector(row))
-            if not e.is_zero() and ech.add(source.vector(e)):
+            e = source._reduce_sparse(row)
+            if not e.is_zero() and ech.add(source.sparse(e)):
                 kernel.append(e)
         self.kernel_basis = kernel
         self._kernel_ech = ech

@@ -1,5 +1,8 @@
 import json
+import re
 from pathlib import Path
+
+import pytest
 
 from ncdef.cli import main
 
@@ -134,3 +137,63 @@ def test_elliptic_hull_order_below_two_is_usage_error(capsys):
                               capsys)
     assert code == 2
     assert "hull order must be >= 2" in err
+
+
+def test_cohomology_p_max_below_one_is_usage_error(capsys):
+    code, _out, err = run_cli(["cohomology", str(DOCS_DIAGRAM), "--p-max", "0"], capsys)
+    assert code == 2
+    assert "p-max must be >= 1" in err
+
+
+def test_negative_rationals_in_both_spellings(capsys, tmp_path):
+    reports = []
+    for spelling in (["--a", "-3/2", "--b", "-5/7"], ["--a=-3/2", "--b=-5/7"]):
+        out = tmp_path / f"r{len(reports)}.json"
+        code, _o, err = run_cli(["elliptic", *spelling, "--hull-order", "2",
+                                 "--format", "json", "--out", str(out)], capsys)
+        assert code == 0, err
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    payload = json.loads(reports[0])
+    assert (payload["input"]["a"], payload["input"]["b"]) == ("-3/2", "-5/7")
+    # a value that is no rational is still a missing argument
+    code, _o, err = run_cli(["elliptic", "--a", "1", "--b", "-x"], capsys)
+    assert code == 2
+    assert "expected one argument" in err
+
+
+def test_cohomology_rejects_a_perturbed_arrow_matrix(capsys, tmp_path):
+    data = json.loads(DOCS_DIAGRAM.read_text())
+    (entry,) = [m for m in data["maps"]
+                if (m["of"], m["alpha"], m["beta"]) == ("id:U3", "id:U3", "id:U3")]
+    entry["matrix"][0][1] = "1/3"
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["cohomology", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "identity arrow at id:U3 is not the identity matrix" in err
+
+
+def test_cohomology_rejects_a_non_functorial_diagram(capsys, tmp_path):
+    # the shipped example has no composable pair of non-identity arrows, so
+    # only a longer chain a -> b -> c can break functoriality itself
+    from ncdef.diagram_io import dump_functor, load_functor
+    from ncdef.diagrams import CategoryError, FiniteCategory, constant_functor
+
+    chain = FiniteCategory.poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    path = tmp_path / "chain.json"
+    dump_functor(chain, constant_functor(chain), path)
+    load_functor(path)
+    data = json.loads(path.read_text())
+    (entry,) = [m for m in data["maps"]
+                if (m["of"], m["alpha"], m["beta"]) == ("id:b", "a>b", "b>c")]
+    entry["matrix"] = [["2"]]
+    path.write_text(json.dumps(data))
+    message = "functoriality fails: (a>b,id:c).(id:b,b>c) at id:b"
+    with pytest.raises(CategoryError, match=re.escape(message)):
+        load_functor(path)
+    code, out, err = run_cli(["cohomology", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert message in err

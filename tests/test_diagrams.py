@@ -8,10 +8,12 @@ from ncdef.diagrams import (
     CocycleError,
     FiniteCategory,
     Morphism,
+    ResolvingComplex,
     build_resolving_complex,
     constant_functor,
     direct_limit_dim,
 )
+from ncdef.linalg import DenseMatrix
 from ncdef.synthetic import random_hom_functor, random_poset, zero_functor
 
 
@@ -75,6 +77,28 @@ def test_randomized_functors_are_functorial_and_dd_zero():
         for p in range(2):
             prod = rc.differentials[p + 1] @ rc.differentials[p]
             assert prod.is_zero()
+
+
+def test_a_flipped_differential_sign_fails_the_dd_check(monkeypatch):
+    chain = FiniteCategory.poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    G = constant_functor(chain)
+    build_resolving_complex(chain, G)
+    build = ResolvingComplex._build_differential
+
+    def flipped(self, p):
+        d = build(self, p)
+        if p != 1:
+            return d
+        # every row of d_0 is nonzero here, so flipping any nonzero entry
+        # of d_1 leaves d_1 . d_0 nonzero
+        entries = list(d.entries)
+        k = next(k for k, e in enumerate(entries) if e)
+        entries[k] = -entries[k]
+        return DenseMatrix(d.rows, d.cols, entries)
+
+    monkeypatch.setattr(ResolvingComplex, "_build_differential", flipped)
+    with pytest.raises(CategoryError, match=r"d\.d != 0 between degrees 0 and 2"):
+        build_resolving_complex(chain, G)
 
 
 def test_normalized_and_full_cohomology_dims_agree():

@@ -70,6 +70,15 @@ def test_dimension_mismatch_rejected():
         solve(DenseMatrix.identity(2), [1, 2, 3])
     with pytest.raises(DimensionMismatch):
         DenseMatrix.identity(2) @ DenseMatrix.identity(3)
+    with pytest.raises(DimensionMismatch):
+        DenseMatrix.identity(2).apply([1, 2, 3])
+
+
+def test_entries_of_any_rational_type_become_fractions():
+    m = DenseMatrix(2, 2, [1, "3/4", Fraction(-2, 6), "0"])
+    assert m.entries == (Fraction(1), Fraction(3, 4), Fraction(-1, 3), Fraction(0))
+    assert all(type(e) is Fraction for e in m.entries)
+    assert m == DenseMatrix.from_rows([[Fraction(1), Fraction(3, 4)], [Fraction(-1, 3), 0]])
 
 
 def _random_matrix(rng, rows, cols):
@@ -80,6 +89,42 @@ def _random_matrix(rng, rows, cols):
         else:
             entries.append(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
     return DenseMatrix(rows, cols, entries)
+
+
+# --- products ------------------------------------------------------------------
+
+
+def _shaped_matrix(rng, rows, cols, kind):
+    if kind == "zero":
+        return DenseMatrix.zero(rows, cols)
+    if kind == "dense":
+        return DenseMatrix(rows, cols, [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                                 rng.randint(1, 4))
+                                        for _ in range(rows * cols)])
+    return _random_matrix(rng, rows, cols)
+
+
+def test_products_match_a_triple_loop_on_seeded_matrices():
+    rng = random.Random(20261018)
+    shapes = set()
+    for _ in range(300):
+        n, k, m = (rng.randint(0, 5) for _ in range(3))
+        a = _shaped_matrix(rng, n, k, rng.choice(["zero", "dense", "sparse"]))
+        b = _shaped_matrix(rng, k, m, rng.choice(["zero", "dense", "sparse"]))
+        want = [sum((a[i, t] * b[t, j] for t in range(k)), Fraction(0))
+                for i in range(n) for j in range(m)]
+        prod = a @ b
+        assert (prod.rows, prod.cols) == (n, m)
+        assert list(prod.entries) == want
+        # a second product reads the right factor's cached nonzeros
+        assert a @ b == prod
+        vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)]
+        assert a.apply(vec) == [sum((a[i, t] * vec[t] for t in range(k)), Fraction(0))
+                                for i in range(n)]
+        assert a.apply([0] * k) == [0] * n
+        shapes.add((n == 0, k == 0, m == 0))
+    # 0 x n, n x 0 and empty inner dimensions all occur
+    assert {(True, False, False), (False, True, False), (False, False, True)} <= shapes
 
 
 def test_rank_nullity_and_solve_roundtrip_200_random_matrices():
@@ -262,3 +307,34 @@ def test_subspace_reducer_rank_and_membership_match_rref_and_solve():
                 assert red.contains(b) == (solve(span, b) is not None)
                 outcomes.add(red.contains(b))
     assert outcomes == {False, True}
+
+
+def test_subspace_reducer_takes_dict_and_dense_vectors_alike():
+    rng = random.Random(20261019)
+    for _ in range(60):
+        dim = rng.randint(1, 7)
+        vectors = [list(_random_matrix(rng, 1, dim).row(0)) for _ in range(rng.randint(0, 6))]
+        if len(vectors) > 1:
+            vectors.append([2 * a - b for a, b in zip(vectors[0], vectors[1])])
+        probes = [list(_random_matrix(rng, 1, dim).row(0)) for _ in range(3)] + vectors
+        for descending in (False, True):
+            dense = SubspaceReducer(dim, descending=descending)
+            sparse = SubspaceReducer(dim, descending=descending)
+            for v in vectors:
+                as_dict = {k: e for k, e in enumerate(v) if e}
+                assert dense.add(v) == sparse.add(as_dict)
+            assert dense.pivots == sparse.pivots
+            assert dense.rows == sparse.rows
+            for b in probes:
+                as_dict = {k: e for k, e in enumerate(b) if e}
+                res = sparse.residual(as_dict)
+                assert dense.residual(b) == res
+                assert all(res.values()) and set(res) <= set(range(dim))
+                assert dense.contains(b) == sparse.contains(as_dict) == (not res)
+                # the residual is b minus a combination of the rows
+                full = [res.get(k, 0) for k in range(dim)]
+                back = SubspaceReducer(dim, descending=descending)
+                for row in sparse.rows:
+                    back.add(row)
+                assert back.contains([x - y for x, y in zip(b, full)])
+                assert all(res.get(p, 0) == 0 for p in sparse.pivots)

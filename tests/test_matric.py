@@ -62,6 +62,29 @@ def test_commutator_quotient_dims():
     assert R.radical_dims_by_order() == [1, 2, 3]
 
 
+def test_commutator_quotient_keeps_t1_t2_and_drops_t2_t1():
+    free = two_var_free(3)
+    t1, t2 = free.generator("t1"), free.generator("t2")
+    R = quotient(free, [t1 * t2 - t2 * t1])
+    words = [free.format_word(w) for w in R.qbasis]
+    # the ideal pivots on its largest word, so the smaller t1*t2 survives
+    assert words == ["1", "t1", "t2", "t1*t1", "t1*t2", "t2*t2"]
+    assert str(R.reduce(t2 * t1)) == "t1*t2"
+    assert R.in_ideal(t2 * t1 - t1 * t2) and not R.in_ideal(t2 * t1)
+
+
+def test_reduce_emits_words_in_basis_order():
+    free = two_var_free(3)
+    t1, t2 = free.generator("t1"), free.generator("t2")
+    R = quotient(free, [t1 * t2 - t2 * t1])
+    # coefficients inserted largest word first
+    x = free.element({("w", (1, 0)): 3, ("w", (1,)): -1, ("e", 1): 2, ("w", (0, 0)): 5})
+    reduced = R.reduce(x)
+    assert list(reduced.coeffs) == sorted(reduced.coeffs, key=free.index.__getitem__)
+    assert reduced.coeffs == {("e", 1): 2, ("w", (1,)): -1, ("w", (0, 0)): 5,
+                              ("w", (0, 1)): 3}
+
+
 def test_zero_ideal_gives_free_algebra():
     free = two_var_free(3)
     R = quotient(free, [])
