@@ -5,6 +5,8 @@ computes resolving-complex cohomology of a serialized diagram functor;
 `hull` runs the obstruction calculus from a serialized configuration;
 `selftest` runs the property suite. Exit codes: 0 success, 1 domain errors
 (singular curve, failed stabilization, malformed inputs), 2 usage errors.
+Only the package's typed domain and input errors exit 1; any other
+exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -155,25 +157,43 @@ def _cmd_cohomology(args) -> int:
     return 0
 
 
+class InputError(ValueError):
+    """A configuration file that does not follow its schema."""
+
+
+def _read_hull_config(path) -> tuple[Fraction, Fraction, int, int]:
+    """(a, b, dmax, hull_order) from an ncdef-hull/1 configuration file."""
+    with open(path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise InputError("hull configuration is not a JSON object")
+    if config.get("schema") != "ncdef-hull/1":
+        raise InputError(f"expected schema 'ncdef-hull/1', got {config.get('schema')!r}")
+    if config.get("kind") != "elliptic":
+        raise InputError(f"unsupported configuration kind {config.get('kind')!r}")
+    try:
+        return (Fraction(config["a"]), Fraction(config["b"]),
+                int(config.get("dmax", 24)), int(config.get("hull_order", 4)))
+    except KeyError as exc:
+        raise InputError(f"hull configuration has no entry {exc}") from exc
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad hull configuration entry: {exc}") from exc
+
+
 def _cmd_hull(args) -> int:
     from . import elliptic
 
-    with open(args.config, encoding="utf-8") as fh:
-        config = json.load(fh)
-    if config.get("schema") != "ncdef-hull/1":
-        raise ValueError(f"expected schema 'ncdef-hull/1', got {config.get('schema')!r}")
-    if config.get("kind") != "elliptic":
-        raise ValueError(f"unsupported configuration kind {config.get('kind')!r}")
+    a, b, dmax, hull_order = _read_hull_config(args.config)
     t0 = time.perf_counter()
-    cfg = elliptic.build(Fraction(config["a"]), Fraction(config["b"]))
-    ctx = elliptic.build_context(cfg, d_max=int(config.get("dmax", 24)))
-    result = ctx.hull_compute(int(config.get("hull_order", 4)))
+    cfg = elliptic.build(a, b)
+    ctx = elliptic.build_context(cfg, d_max=dmax)
+    result = ctx.hull_compute(hull_order)
     payload = {
         "schema": "ncdef/1",
         "input": {
             "a": str(cfg.a), "b": str(cfg.b),
             "hull_order": result.order,
-            "dmax": int(config.get("dmax", 24)),
+            "dmax": dmax,
         },
         "discriminant": str(cfg.discriminant),
         "regime": cfg.regime,
@@ -212,13 +232,16 @@ def main(argv=None) -> int:
         "hull": _cmd_hull,
         "selftest": _cmd_selftest,
     }
+    from .diagram_io import DiagramFormatError
+    from .diagrams import CategoryError
     from .elliptic import SingularCurve
     from .engine import EngineError
 
     try:
         return handlers[args.command](args)
-    except (SingularCurve, NoStabilization, EngineError,
-            ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (SingularCurve, NoStabilization, EngineError, CategoryError,
+            DiagramFormatError, InputError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:
         print(f"ncdef: {exc}", file=sys.stderr)
         return 1
 

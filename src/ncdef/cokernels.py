@@ -10,8 +10,8 @@ derivation preimage (the witness).
 
 The degenerate curve identification packages the global answer:
 HH^0 is H^0 of the constant functor, HH^n is H^(n-1) of the Ext^1 diagram
-for n = 1, 2. The one-dimensionality of the charts is declared by the
-caller, not derived.
+for n = 1, 2. The identification needs the charts to be curves; their
+one-dimensionality is assumed, not derived.
 """
 
 from __future__ import annotations
@@ -358,11 +358,7 @@ class GlobalHochschild:
     """Degenerate-curve global answer: dims, bases, and the class machinery
     the obstruction calculus consumes."""
 
-    def __init__(self, diagram: ExtDiagram, endo_h0: MorFunctor, curve: bool):
-        if not curve:
-            raise AlgebraError(
-                "the degenerate identification needs the declared curve hypotheses"
-            )
+    def __init__(self, diagram: ExtDiagram, endo_h0: MorFunctor):
         self.diagram = diagram
         base_rc = build_resolving_complex(diagram.poset, endo_h0, normalized=True, p_max=2)
         self.hh0 = base_rc.cohomology(0).dim
@@ -396,6 +392,5 @@ class GlobalHochschild:
         return out
 
 
-def global_hochschild_dims(diagram: ExtDiagram, endo_h0: MorFunctor,
-                           curve: bool = True) -> GlobalHochschild:
-    return GlobalHochschild(diagram, endo_h0, curve)
+def global_hochschild_dims(diagram: ExtDiagram, endo_h0: MorFunctor) -> GlobalHochschild:
+    return GlobalHochschild(diagram, endo_h0)

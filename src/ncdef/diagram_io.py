@@ -56,6 +56,20 @@ def functor_to_dict(base: FiniteCategory, functor: MorFunctor) -> dict:
 
 
 def functor_from_dict(data: dict) -> tuple[FiniteCategory, MorFunctor]:
+    try:
+        base, dims, mats, labels = _parse(data)
+    except DiagramFormatError:
+        raise
+    except (AttributeError, LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
+        # _parse reads only the document: a missing key, a value of the wrong
+        # JSON type or an unparsable entry lands here
+        raise DiagramFormatError(f"malformed diagram ({type(exc).__name__}: {exc})") from exc
+    functor = MorFunctor(base, dims, mats, labels)
+    functor.check_functor()
+    return base, functor
+
+
+def _parse(data: dict) -> tuple[FiniteCategory, dict, dict, dict]:
     if data.get("schema") != SCHEMA:
         raise DiagramFormatError(
             f"expected schema {SCHEMA!r}, got {data.get('schema')!r}"
@@ -92,9 +106,7 @@ def functor_from_dict(data: dict) -> tuple[FiniteCategory, MorFunctor]:
     for (f, alpha, beta, _g) in base.mor_arrows():
         if (f, alpha, beta) not in mats:
             raise DiagramFormatError(f"missing matrix for arrow ({f},{alpha},{beta})")
-    functor = MorFunctor(base, dims, mats, labels)
-    functor.check_functor()
-    return base, functor
+    return base, dims, mats, labels
 
 
 def load_functor(path) -> tuple[FiniteCategory, MorFunctor]:

@@ -177,14 +177,20 @@ class MorFunctor:
             idb = self.base.identity[f.tgt]
             if self.matrix(f.name, ida, idb) != DenseMatrix.identity(self.dims[f.name]):
                 raise CategoryError(f"identity arrow at {f.name} is not the identity matrix")
+        # With the identity arrows mapping to identity matrices, a pair that
+        # composes with an identity arrow holds by the unit laws: skip it.
+        ids = set(self.base.identity.values())
         arrows = self.base.mor_arrows()
         arrows_from = {f: [] for f in self.base.morphisms}
         for arrow in arrows:
-            arrows_from[arrow[0]].append(arrow)
+            if arrow[1] not in ids or arrow[2] not in ids:
+                arrows_from[arrow[0]].append(arrow)
         for (f, alpha, beta, g) in arrows:
             m1 = self.matrix(f, alpha, beta)
             if (m1.rows, m1.cols) != (self.dims[g], self.dims[f]):
                 raise CategoryError(f"matrix shape mismatch at ({f},{alpha},{beta})")
+            if alpha in ids and beta in ids:
+                continue
             for (_g, alpha2, beta2, _h) in arrows_from[g]:
                 comp_alpha = self.base.compose(alpha2, alpha)
                 comp_beta = self.base.compose(beta, beta2)

@@ -1,24 +1,27 @@
 """Exact linear algebra over the rationals, in cost proportional to nonzeros.
 
 Every cohomology and obstruction computation in this package reduces to
-row reduction of a DenseMatrix with Fraction entries. Elimination itself
-runs fraction-free on integer-scaled rows (``_rref_int``); growing
-subspaces, as in greedy complement selection, are echelonized one vector
-at a time by ``SubspaceReducer``.
+row reduction of a DenseMatrix with Fraction entries. There is one
+elimination: a reduced echelon of sparse ``{index: Fraction}`` rows, keyed
+by pivot, that reduces each vector as it is inserted. A matrix's rows are
+inserted in turn; ``SubspaceReducer`` grows one echelon a vector at a time,
+as in greedy complement selection.
 
 A DenseMatrix stores every entry, but its products read only the nonzero
 ones: ``@`` and ``apply`` take the nonzero ``(index, entry)`` pairs of each
 row of the right factor once and accumulate over the nonzero entries of
-the left one. The one sparse format is a dict ``{index: Fraction}`` holding
-the nonzero entries of a vector; ``SubspaceReducer`` keeps its rows in it
-and accepts it as input, so callers with sparse data (the matric quotients
-over free algebras of a few hundred words) never build dense vectors.
+the left one. ``SubspaceReducer`` accepts the sparse dicts as input, so
+callers with sparse data (the matric quotients over free algebras of a few
+hundred words) never build dense vectors.
 
-A matrix is immutable, so its eliminations are cached on it: ``rref``
-keeps the reduced form, and ``solve`` factors the matrix once (the RREF of
-``[m | I]``, i.e. the pivots and the left transform E with E @ m = rref(m))
-and answers every later right-hand side with a sparse product E @ b. RREF
-is unique, so the solution is the same whichever way it is computed.
+Each inserted row pivots on its first nonzero index and stays 1 at its
+pivot and 0 at every other row's pivot, so the rows sorted by pivot are the
+unique RREF whatever order they were inserted in. A matrix is immutable,
+so its eliminations are cached on it: ``rref``, ``rank``, ``kernel_basis``
+and ``image_basis`` read one echelon of its rows, and ``solve`` factors the
+matrix once (the echelon of ``[m | I]``, which holds the left transform E
+with E @ m = rref(m)) and answers every later right-hand side with a
+sparse product E @ b.
 
 >>> m = DenseMatrix.from_rows([[1, 2], [2, 4]])
 >>> r, pivots = rref(m)
@@ -34,7 +37,6 @@ is unique, so the solution is the same whichever way it is computed.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -53,7 +55,7 @@ def _as_fraction(x) -> Fraction:
 class DenseMatrix:
     """Immutable rows x cols grid of Fractions."""
 
-    __slots__ = ("rows", "cols", "entries", "_rref", "_factor", "_nonzeros")
+    __slots__ = ("rows", "cols", "entries", "_echelon", "_factor", "_nonzeros")
 
     def __init__(self, rows: int, cols: int, entries):
         # the exact class test passes the Fractions of internal callers
@@ -66,7 +68,7 @@ class DenseMatrix:
         self.rows = rows
         self.cols = cols
         self.entries = entries
-        self._rref = None
+        self._echelon = None
         self._factor = None
         self._nonzeros = None
 
@@ -199,199 +201,109 @@ class DenseMatrix:
         return DenseMatrix(self.rows, self.cols + other.cols, entries)
 
 
-def _integer_row(row) -> tuple[int, list[int]]:
-    """(d, d * row) with d the least common denominator of the entries."""
-    d = 1
-    for e in row:
-        if e:
-            d = lcm(d, e.denominator)
-    return d, [e.numerator * (d // e.denominator) for e in row]
-
-
-def _row_content(row) -> int:
-    g = 0
-    for e in row:
-        if e:
-            g = gcd(g, e if e >= 0 else -e)
-            if g == 1:
-                return 1
-    return g
-
-
-def _rref_int(rows, ncols) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free Gauss-Jordan elimination on integer rows.
-
-    Takes a list of integer rows (each of length ``ncols``), eliminates on
-    a copy, and returns ``(reduced_rows, pivots)``. Pivot selection is the
-    largest |entry| in the current column (ties: lowest row). Each returned
-    pivot row is divided by its content and sign-fixed so the pivot entry
-    is positive; entries above and below every pivot are zero. The caller
-    rescales rows to leading coefficient 1 over Q.
-    """
-    work = [list(r) for r in rows]
-    nrows = len(work)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        best = -1
-        best_abs = 0
-        for k in range(r, nrows):
-            e = work[k][c]
-            if e:
-                a = e if e >= 0 else -e
-                if a > best_abs:
-                    best_abs = a
-                    best = k
-        if best < 0:
-            continue
-        if best != r:
-            work[r], work[best] = work[best], work[r]
-        piv_row = work[r]
-        p = piv_row[c]
-        for k in range(nrows):
-            if k == r:
-                continue
-            e = work[k][c]
-            if e:
-                row_k = work[k]
-                for j in range(ncols):
-                    b = piv_row[j]
-                    a = row_k[j]
-                    if b:
-                        row_k[j] = p * a - e * b if a else -e * b
-                    elif a:
-                        row_k[j] = p * a
-                g = _row_content(row_k)
-                if g > 1:
-                    for j in range(ncols):
-                        row_k[j] //= g
-        pivots.append(c)
-        r += 1
-    out = []
-    for i, c in enumerate(pivots):
-        row = work[i]
-        g = _row_content(row)
-        if row[c] < 0:
-            g = -g
-        if g != 1 and g != 0:
-            row = [e // g for e in row]
-        out.append(row)
-    return out, pivots
+def _echelon(m: DenseMatrix) -> dict[int, dict[int, Fraction]]:
+    """The reduced echelon of m's rows as pivot -> sparse row, cached on m."""
+    if m._echelon is None:
+        rows: dict[int, dict[int, Fraction]] = {}
+        for row in m._sparse_rows():
+            _insert(rows, dict(row), min)
+        m._echelon = rows
+    return m._echelon
 
 
 def rref(m: DenseMatrix) -> tuple[DenseMatrix, list[int]]:
-    """Reduced row-echelon form and the (strictly increasing) pivot columns.
-
-    Row scaling to integers preserves the row space, so the RREF computed
-    fraction-free agrees with the RREF over Q.
-    """
-    if m._rref is not None:
-        return m._rref
-    int_rows, pivots = _rref_int(
-        [_integer_row(m.row(i))[1] for i in range(m.rows)], m.cols
-    )
+    """Reduced row-echelon form and the (strictly increasing) pivot columns."""
+    rows = _echelon(m)
+    pivots = sorted(rows)
     entries = []
-    for row, c in zip(int_rows, pivots):
-        p = row[c]
-        entries.extend(Fraction(e, p) if e else _ZERO for e in row)
+    for p in pivots:
+        dense = [_ZERO] * m.cols
+        for j, e in rows[p].items():
+            dense[j] = e
+        entries.extend(dense)
     entries.extend([_ZERO] * ((m.rows - len(pivots)) * m.cols))
-    m._rref = (DenseMatrix(m.rows, m.cols, entries), pivots)
-    return m._rref
+    return DenseMatrix(m.rows, m.cols, entries), pivots
 
 
 def rank(m: DenseMatrix) -> int:
-    return len(rref(m)[1])
+    return len(_echelon(m))
 
 
 def kernel_basis(m: DenseMatrix) -> list[list[Fraction]]:
     """Basis of {x : m @ x = 0}, one vector per non-pivot column."""
-    r, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for j in free:
-        v = [_ZERO] * m.cols
+    rows = _echelon(m)
+    basis = {j: [_ZERO] * m.cols for j in range(m.cols) if j not in rows}
+    for j, v in basis.items():
         v[j] = _ONE
-        for i, pc in enumerate(pivots):
-            v[pc] = -r[i, j]
-        basis.append(v)
-    return basis
+    for p, row in rows.items():
+        for j, e in row.items():
+            if j != p:
+                basis[j][p] = -e
+    return list(basis.values())
 
 
 def image_basis(m: DenseMatrix) -> list[list[Fraction]]:
     """Columns of m at the pivot indices: a basis of the column space."""
-    _, pivots = rref(m)
-    return [m.column(j) for j in pivots]
+    return [m.column(j) for j in sorted(_echelon(m))]
 
 
 def cokernel_reps(m: DenseMatrix) -> list[int]:
     """Standard-basis indices spanning a complement of the column space."""
-    _, pivots = rref(m.transpose())
-    pivot_set = set(pivots)
-    return [i for i in range(m.rows) if i not in pivot_set]
+    pivots = _echelon(m.transpose())
+    return [i for i in range(m.rows) if i not in pivots]
 
 
 class _Factorization:
-    """RREF of [m | I] in integer form, ready for repeated solves.
+    """The reduced echelon of [m | I], ready for repeated solves.
 
-    ``pivots`` are the pivot columns of m, ``heads[i]`` the integer pivot
-    entry of row i, and ``columns[k]`` the nonzero (row, value) pairs of
-    column k of the integer left transform. Row i of E is row i of that
-    transform divided by ``heads[i]`` for i < rank; the rows from the rank
-    on span the left null space of m and decide feasibility.
+    ``columns[k]`` holds the nonzero (pivot, entry) pairs of column k of
+    the left transform E, with E @ m = rref(m). [m | I] has full row rank,
+    so every row pivots: a pivot below m.cols marks a row of rref(m), one
+    from m.cols on a row of E spanning the left null space of m, which
+    decides feasibility.
     """
 
-    __slots__ = ("pivots", "heads", "columns")
+    __slots__ = ("columns",)
 
     def __init__(self, m: DenseMatrix):
-        aug = []
-        for i in range(m.rows):
-            d, row = _integer_row(m.row(i))
-            unit = [0] * m.rows
-            unit[i] = d
-            aug.append(row + unit)
-        # [m | I] has full row rank, so every row of the result holds a pivot
-        int_rows, pivots = _rref_int(aug, m.cols + m.rows)
-        rank = sum(1 for c in pivots if c < m.cols)
-        self.pivots = pivots[:rank]
-        self.heads = [row[c] for row, c in zip(int_rows, self.pivots)]
+        n = m.cols
+        rows: dict[int, dict[int, Fraction]] = {}
+        for i, row in enumerate(m._sparse_rows()):
+            v = dict(row)
+            v[n + i] = _ONE
+            _insert(rows, v, min)
         self.columns = [[] for _ in range(m.rows)]
-        for i, row in enumerate(int_rows):
-            for k, e in enumerate(row[m.cols:]):
-                if e:
-                    self.columns[k].append((i, e))
+        for p, row in rows.items():
+            for j, e in row.items():
+                if j >= n:
+                    self.columns[j - n].append((p, e))
 
 
 def solve(m: DenseMatrix, b) -> list[Fraction] | None:
     """One exact solution of m @ x = b, or None if the system is infeasible.
 
     The solution is the RREF one: free columns zero, pivot columns read off
-    the reduced right-hand side. The factorization of m is computed on the
-    first solve and reused by every later solve against the same matrix.
+    the reduced right-hand side E @ b. The factorization of m is computed
+    on the first solve and reused by every later solve against the same
+    matrix.
     """
     if len(b) != m.rows:
         raise DimensionMismatch("rhs length != rows")
     f = m._factor
     if f is None:
         f = m._factor = _Factorization(m)
-    terms = [(k, _as_fraction(e)) for k, e in enumerate(b) if e]
-    den = 1
-    for _, e in terms:
-        den = lcm(den, e.denominator)
-    acc = [0] * m.rows
-    for k, e in terms:
-        v = e.numerator * (den // e.denominator)
-        for i, c in f.columns[k]:
-            acc[i] += c * v
-    rank = len(f.pivots)
-    if any(acc[rank:]):
-        return None
+    acc: dict[int, Fraction] = {}
+    for k, e in enumerate(b):
+        if e:
+            e = _as_fraction(e)
+            for p, c in f.columns[k]:
+                acc[p] = acc.get(p, _ZERO) + c * e
     x = [_ZERO] * m.cols
-    for i, c in enumerate(f.pivots):
-        if acc[i]:
-            x[c] = Fraction(acc[i], f.heads[i] * den)
+    for p, s in acc.items():
+        if s:
+            if p >= m.cols:
+                return None
+            x[p] = s
     return x
 
 
@@ -436,31 +348,43 @@ class SubspaceReducer:
 
     def residual(self, vec) -> dict[int, Fraction]:
         """The nonzero entries of vec minus its projection on the rows."""
-        v = _sparse(vec)
-        rows = self._rows
-        # the rows are reduced, so each pivot's coefficient is vec's own entry
-        for p in [p for p in v if p in rows]:
-            _axpy(v, -v[p], rows[p])
-        return v
+        return _reduce(self._rows, _sparse(vec))
 
     def contains(self, vec) -> bool:
         return not self.residual(vec)
 
     def add(self, vec) -> bool:
         """Insert vec; returns True if it enlarged the subspace."""
-        v = self.residual(vec)
-        if not v:
-            return False
-        p = self._first(v)
-        inv = v[p]
-        if inv != 1:
-            v = {j: e / inv for j, e in v.items()}
-        for row in self._rows.values():
-            c = row.get(p)
-            if c:
-                _axpy(row, -c, v)
-        self._rows[p] = v
-        return True
+        return _insert(self._rows, _sparse(vec), self._first)
+
+
+def _reduce(rows: dict, v: dict) -> dict:
+    """Subtract from v, in place, its projection on the reduced rows."""
+    # the rows are reduced, so each pivot's coefficient is v's own entry
+    for p in [p for p in v if p in rows]:
+        _axpy(v, -v[p], rows[p])
+    return v
+
+
+def _insert(rows: dict, v: dict, first) -> bool:
+    """Reduce v against the pivot -> row map and add what is left as a row
+    pivoting on ``first(v)``, clearing that pivot from the other rows.
+    Returns True if a row was added. Every elimination goes through here;
+    the matrix ones call it directly, so ``SubspaceReducer.add`` is entered
+    only by incremental callers."""
+    _reduce(rows, v)
+    if not v:
+        return False
+    p = first(v)
+    inv = v[p]
+    if inv != 1:
+        v = {j: e / inv for j, e in v.items()}
+    for row in rows.values():
+        c = row.get(p)
+        if c:
+            _axpy(row, -c, v)
+    rows[p] = v
+    return True
 
 
 def _axpy(v: dict, c: Fraction, row: dict) -> None:

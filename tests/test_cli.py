@@ -197,3 +197,35 @@ def test_cohomology_rejects_a_non_functorial_diagram(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert message in err
+
+
+def test_malformed_inputs_exit_one(capsys, tmp_path):
+    data = json.loads(DOCS_DIAGRAM.read_text())
+    del data["maps"]
+    diagram = tmp_path / "no_maps.json"
+    diagram.write_text(json.dumps(data))
+    code, out, err = run_cli(["cohomology", str(diagram)], capsys)
+    assert (code, out) == (1, "")
+    assert "malformed diagram (KeyError: 'maps')" in err
+    config = tmp_path / "hull.json"
+    config.write_text(json.dumps({"schema": "ncdef-hull/1", "kind": "elliptic", "a": "1"}))
+    code, out, err = run_cli(["hull", str(config)], capsys)
+    assert (code, out) == (1, "")
+    assert "hull configuration has no entry 'b'" in err
+    config.write_text(json.dumps({"schema": "ncdef-hull/1", "kind": "elliptic",
+                                  "a": "1", "b": "1/0"}))
+    code, _out, err = run_cli(["hull", str(config)], capsys)
+    assert code == 1
+    assert "bad hull configuration entry" in err
+
+
+def test_internal_errors_surface_instead_of_exiting_one(monkeypatch):
+    from ncdef import cokernels, diagrams, engine, linalg, matric
+
+    def broken(m, b):
+        raise KeyError("internal")
+
+    for module in (linalg, cokernels, diagrams, engine, matric):
+        monkeypatch.setattr(module, "solve", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["elliptic", "--a", "1", "--b", "1", "--hull-order", "2"])

@@ -81,10 +81,10 @@ def test_entries_of_any_rational_type_become_fractions():
     assert m == DenseMatrix.from_rows([[Fraction(1), Fraction(3, 4)], [Fraction(-1, 3), 0]])
 
 
-def _random_matrix(rng, rows, cols):
+def _random_matrix(rng, rows, cols, zeros=0.35):
     entries = []
     for _ in range(rows * cols):
-        if rng.random() < 0.35:
+        if rng.random() < zeros:
             entries.append(Fraction(0))
         else:
             entries.append(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
@@ -208,13 +208,18 @@ def _reference_solve(m, b):
 
 def _random_system(rng):
     shape = rng.random()
+    zeros = 0.35
     if shape < 0.1:
         rows, cols = 0, rng.randint(0, 5)
     elif shape < 0.2:
         rows, cols = rng.randint(1, 5), 0
+    elif shape < 0.3:
+        # the shapes the pipeline feeds the echelon: operator and
+        # differential matrices of a few dozen rows, about 6 % nonzero
+        rows, cols, zeros = rng.randint(1, 40), rng.randint(1, 60), 0.94
     else:
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
-    m = _random_matrix(rng, rows, cols)
+    m = _random_matrix(rng, rows, cols, zeros)
     if rows > 1 and cols and rng.random() < 0.4:
         # rank-deficient: the last row repeats a multiple of the first
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
@@ -265,6 +270,42 @@ def test_many_rhs_on_one_matrix_equal_fresh_matrices():
                  for _ in range(m.rows)]
             fresh = DenseMatrix(m.rows, m.cols, m.entries)
             assert solve(m, b) == solve(fresh, b)
+
+
+def test_row_order_changes_no_elimination_result():
+    # each row is reduced as it is inserted and pivots on its first nonzero
+    # column, so every insertion order gives the one RREF
+    rng = random.Random(20261021)
+    sparse = 0
+    for _ in range(80):
+        m = _random_system(rng)
+        order = list(range(m.rows))
+        rng.shuffle(order)
+        permuted = DenseMatrix(m.rows, m.cols, [e for i in order for e in m.row(i)])
+        assert rref(permuted) == rref(m)
+        assert kernel_basis(permuted) == kernel_basis(m)
+        for b in ([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m.rows)],
+                  m.apply([Fraction(rng.randint(-3, 3)) for _ in range(m.cols)])):
+            assert solve(permuted, [b[i] for i in order]) == solve(m, b)
+        sparse += m.rows * m.cols > 49
+    assert sparse > 5
+
+
+def test_matrix_eliminations_do_not_enter_subspace_reducer_add(monkeypatch):
+    # they share the echelon's insertion routine, but the calls of
+    # SubspaceReducer.add (which the pipeline benchmark's tracer counts)
+    # stay the incremental ones
+    def refuse(self, vec):
+        raise AssertionError("a matrix elimination entered SubspaceReducer.add")
+
+    monkeypatch.setattr(SubspaceReducer, "add", refuse)
+    m = DenseMatrix.from_rows([[1, 2, 3], [2, 4, 7], [0, 0, 1]])
+    assert rank(m) == 2
+    assert rref(m)[1] == [0, 2]
+    assert kernel_basis(m) == [[-2, 1, 0]]
+    assert image_basis(m) == [[1, 2, 0], [3, 7, 1]]
+    assert cokernel_reps(m) == [2]
+    assert solve(m, [1, 2, 0]) == [1, 0, 0]
 
 
 # --- the incremental echelon ------------------------------------------------------
