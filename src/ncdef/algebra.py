@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .linalg import DenseMatrix
+from .linalg import Matrix
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -686,7 +686,7 @@ def identity_morphism(algebra: PresentedAlgebra) -> AlgebraMorphism:
 
 
 def truncated_operator_matrix(op, source: PresentedAlgebra, target: PresentedAlgebra,
-                              d_in: int, d_out: int) -> DenseMatrix:
+                              d_in: int, d_out: int) -> Matrix:
     """Matrix of a k-linear operator on the degree-truncated monomial bases.
 
     Columns are the images of the normal-form monomials of degree <= d_in,
@@ -696,10 +696,9 @@ def truncated_operator_matrix(op, source: PresentedAlgebra, target: PresentedAlg
     src = source.nf_monomials(d_in)
     tgt = target.nf_monomials(d_out)
     index = {m: i for i, m in enumerate(tgt)}
-    cols = []
-    for m in src:
+    rows = [{} for _ in tgt]
+    for j, m in enumerate(src):
         img = op(source.monomial_element(m))
-        col = [_ZERO] * len(tgt)
         for mm, c in img.terms.items():
             if mm not in index:
                 raise TruncationEscape(
@@ -707,6 +706,6 @@ def truncated_operator_matrix(op, source: PresentedAlgebra, target: PresentedAlg
                     f"{target.format_monomial(mm)} of degree "
                     f"{target.degree(mm)} > {d_out}"
                 )
-            col[index[mm]] = c
-        cols.append(col)
-    return DenseMatrix.from_columns(cols, nrows=len(tgt))
+            if c:
+                rows[index[mm]][j] = c if c.__class__ is Fraction else Fraction(c)
+    return Matrix.from_sparse(len(tgt), len(src), rows)

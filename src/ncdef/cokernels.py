@@ -29,7 +29,7 @@ from .algebra import (
 from .diagrams import FiniteCategory, MorFunctor, build_resolving_complex
 # kernel_basis is no longer called here but stays bound: the pipeline
 # benchmark's tracer test checks that tracing patches this binding
-from .linalg import DenseMatrix, SubspaceReducer, kernel_basis, rref, solve  # noqa: F401
+from .linalg import Matrix, SubspaceReducer, kernel_basis, rref, solve  # noqa: F401
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -112,7 +112,7 @@ class CokernelPresentation:
 
     # -- truncation stages ------------------------------------------------------
 
-    def _operator_matrix(self, d_in: int) -> tuple[DenseMatrix, int]:
+    def _operator_matrix(self, d_in: int) -> tuple[Matrix, int]:
         """The derivation's matrix from degree <= d_in to degree <= d_in + shift,
         with that target degree; built once per source degree and shift."""
         if d_in in self._matrices:
@@ -154,12 +154,17 @@ class CokernelPresentation:
             )
         # One image per source monomial, high-degree coordinates first: the
         # echelon rows whose pivot lies in the low block span the image inside R_d.
-        order = high + low
-        images = DenseMatrix(matrix.cols, len(order),
-                             [matrix[i, j] for j in range(matrix.cols) for i in order])
-        echelon, pivots = rref(images)
-        rows = [list(echelon.row(k)[len(high):])
-                for k, c in enumerate(pivots) if c >= len(high)]
+        position = {i: k for k, i in enumerate(high + low)}
+        images = [{} for _ in range(matrix.cols)]
+        for i, row in enumerate(matrix.sparse):
+            k = position[i]
+            for j, e in row.items():
+                images[j][k] = e
+        echelon, pivots = rref(Matrix.from_sparse(matrix.cols, len(position), images))
+        # a row pivoting in the low block is zero on the whole high block
+        h = len(high)
+        rows = [{j - h: e for j, e in echelon.sparse[k].items()}
+                for k, c in enumerate(pivots) if c >= h]
         stage = {"d": d, "basis": low_basis, "image": rows}
         self._stages[d] = stage
         return stage
@@ -229,7 +234,7 @@ class CokernelPresentation:
             )
         return Reduction(coords, witness)
 
-    def _system(self, dd: int) -> tuple[DenseMatrix, dict, list]:
+    def _system(self, dd: int) -> tuple[Matrix, dict, list]:
         """The [reps | D] system reduce() solves at source degree dd, with the
         target index and the source monomials; built once per degree."""
         if dd in self._systems:
@@ -243,7 +248,7 @@ class CokernelPresentation:
             col = [_ZERO] * len(tgt)
             col[index[m]] = _ONE
             cols.append(col)
-        full = DenseMatrix.from_columns(cols, nrows=len(tgt)).hstack(matrix)
+        full = Matrix.from_columns(cols, nrows=len(tgt)).hstack(matrix)
         self._systems[dd] = (full, index, src)
         return self._systems[dd]
 
@@ -319,16 +324,16 @@ class ExtDiagram:
     def cokernel_at(self, morphism_name: str) -> CokernelPresentation:
         return self.cokernels[self.poset.morphisms[morphism_name].tgt]
 
-    def _restriction_action(self, beta_name: str) -> DenseMatrix:
+    def _restriction_action(self, beta_name: str) -> Matrix:
         beta = self.poset.morphisms[beta_name]
         src_ck = self.cokernels[beta.src]
         tgt_ck = self.cokernels[beta.tgt]
         if self.poset.is_identity(beta_name):
-            return DenseMatrix.identity(src_ck.size)
+            return Matrix.identity(src_ck.size)
         rho = self.restrictions[beta_name]
         cols = [tgt_ck.reduce(rho(src_ck.algebra.monomial_element(m))).coords
                 for m in src_ck.reps]
-        return DenseMatrix.from_columns(cols, nrows=tgt_ck.size)
+        return Matrix.from_columns(cols, nrows=tgt_ck.size)
 
     def _build_functor(self) -> MorFunctor:
         poset = self.poset

@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 
 from .diagrams import FiniteCategory, MorFunctor
-from .linalg import _ZERO, DenseMatrix
+from .linalg import Matrix
 
 SCHEMA = "ncdef-diagram/1"
 
@@ -39,12 +39,18 @@ def functor_to_dict(base: FiniteCategory, functor: MorFunctor) -> dict:
     maps = []
     for (f, alpha, beta, g) in sorted(base.mor_arrows()):
         m = functor.matrix(f, alpha, beta)
+        lines = []
+        for row in m.sparse:
+            line = ["0"] * m.cols
+            for j, e in row.items():
+                line[j] = str(e)
+            lines.append(line)
         maps.append({
             "of": f,
             "alpha": alpha,
             "beta": beta,
             "to": g,
-            "matrix": [[str(m[i, j]) for j in range(m.cols)] for i in range(m.rows)],
+            "matrix": lines,
         })
     return {
         "schema": SCHEMA,
@@ -88,21 +94,25 @@ def _parse(data: dict) -> tuple[FiniteCategory, dict, dict, dict]:
             f"b{k}" for k in range(dims[name])
         ]
     mats = {}
-    # one Fraction per distinct entry string: parsing is most of a load, and
-    # zeros shared with linalg's products let matrix comparisons stop at identity
-    parsed = {"0": _ZERO}
+    # one Fraction per distinct entry string: parsing is most of a load
+    parsed = {}
     for entry in data["maps"]:
         f, alpha, beta = entry["of"], entry["alpha"], entry["beta"]
         g = base.compose(alpha, base.compose(f, beta))
-        rows = [[parsed[x] if x in parsed else parsed.setdefault(x, Fraction(x))
-                 for x in row] for row in entry["matrix"]]
-        if len(rows) != dims[g] or any(len(r) != dims[f] for r in rows):
+        lines = entry["matrix"]
+        if len(lines) != dims[g] or any(len(line) != dims[f] for line in lines):
             raise DiagramFormatError(
                 f"matrix for ({f},{alpha},{beta}) has the wrong shape"
             )
-        mats[(f, alpha, beta)] = (
-            DenseMatrix.from_rows(rows) if rows else DenseMatrix.zero(dims[g], dims[f])
-        )
+        rows = []
+        for line in lines:
+            row = {}
+            for j, x in enumerate(line):
+                e = parsed[x] if x in parsed else parsed.setdefault(x, Fraction(x))
+                if e:
+                    row[j] = e
+            rows.append(row)
+        mats[(f, alpha, beta)] = Matrix.from_sparse(dims[g], dims[f], rows)
     for (f, alpha, beta, _g) in base.mor_arrows():
         if (f, alpha, beta) not in mats:
             raise DiagramFormatError(f"missing matrix for arrow ({f},{alpha},{beta})")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import DenseMatrix, SubspaceReducer, image_basis, kernel_basis, rank, solve
+from .linalg import Matrix, SubspaceReducer, image_basis, kernel_basis, rank, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -167,7 +167,7 @@ class MorFunctor:
             f: [f"b{k}" for k in range(self.dims[f])] for f in self.dims
         }
 
-    def matrix(self, f: str, alpha: str, beta: str) -> DenseMatrix:
+    def matrix(self, f: str, alpha: str, beta: str) -> Matrix:
         return self.mats[(f, alpha, beta)]
 
     def check_functor(self):
@@ -175,7 +175,7 @@ class MorFunctor:
         for f in self.base.morphisms.values():
             ida = self.base.identity[f.src]
             idb = self.base.identity[f.tgt]
-            if self.matrix(f.name, ida, idb) != DenseMatrix.identity(self.dims[f.name]):
+            if self.matrix(f.name, ida, idb) != Matrix.identity(self.dims[f.name]):
                 raise CategoryError(f"identity arrow at {f.name} is not the identity matrix")
         # With the identity arrows mapping to identity matrices, a pair that
         # composes with an identity arrow holds by the unit laws: skip it.
@@ -205,7 +205,7 @@ class MorFunctor:
 def constant_functor(base: FiniteCategory, dim: int = 1, label: str = "k") -> MorFunctor:
     dims = {f: dim for f in base.morphisms}
     mats = {
-        (f, alpha, beta): DenseMatrix.identity(dim)
+        (f, alpha, beta): Matrix.identity(dim)
         for (f, alpha, beta, _g) in base.mor_arrows()
     }
     labels = {f: [label] * dim if dim == 1 else [f"{label}{i}" for i in range(dim)]
@@ -232,7 +232,7 @@ def direct_limit_dim(base: FiniteCategory, G: MorFunctor) -> int:
             rows.append(row)
     if not rows:
         return total
-    mat = DenseMatrix.from_rows(rows)
+    mat = Matrix.from_rows(rows)
     return len(kernel_basis(mat))
 
 
@@ -296,32 +296,24 @@ class ResolvingComplex:
     def _admitted(self, p: int, t) -> bool:
         return t in self.offsets[p]
 
-    def _add_block(self, entries, p_out, t_out, p_in, t_in, mat: DenseMatrix, sign: int):
-        ro = self.offsets[p_out][t_out]
-        co = self.offsets[p_in][t_in]
-        width = self.space_dims[p_in]
-        for r in range(mat.rows):
-            base_idx = (ro + r) * width + co
-            row = mat.row(r)
-            for c in range(mat.cols):
-                if row[c]:
-                    entries[base_idx + c] += sign * row[c]
+    def _block(self, p_out, t_out, p_in, t_in, mat: Matrix, sign: int):
+        """sign * mat placed at the slots of t_out and t_in, for Matrix.from_blocks."""
+        return self.offsets[p_out][t_out], self.offsets[p_in][t_in], mat, sign
 
-    def _build_differential(self, p: int) -> DenseMatrix:
+    def _build_differential(self, p: int) -> Matrix:
         G = self.functor
         base = self.base
-        rows = self.space_dims[p + 1]
-        cols = self.space_dims[p]
-        entries = [_ZERO] * (rows * cols)
+        blocks = []
+        units = {}  # dim -> the identity, shared by the merged blocks
         for t in self.tuples[p + 1]:
             phis = t  # p+1 morphism names (p=0: t is (object,) handled below)
             if p == 0:
                 (phi,) = phis
                 m = base.morphisms[phi]
                 mat1 = G.matrix(base.identity[m.tgt], phi, base.identity[m.tgt])
-                self._add_block(entries, 1, t, 0, (m.tgt,), mat1, +1)
+                blocks.append(self._block(1, t, 0, (m.tgt,), mat1, +1))
                 mat2 = G.matrix(base.identity[m.src], base.identity[m.src], phi)
-                self._add_block(entries, 1, t, 0, (m.src,), mat2, -1)
+                blocks.append(self._block(1, t, 0, (m.src,), mat2, -1))
                 continue
             first, rest = phis[0], phis[1:]
             src0 = base.morphisms[first].src
@@ -329,21 +321,22 @@ class ResolvingComplex:
             if self._admitted(p, rest):
                 comp_rest = self._value_at(p, rest)
                 mat = G.matrix(comp_rest, first, base.identity[tgt_last])
-                self._add_block(entries, p + 1, t, p, rest, mat, +1)
+                blocks.append(self._block(p + 1, t, p, rest, mat, +1))
             sign = -1
             for i in range(len(phis) - 1):
                 merged = phis[:i] + (base.compose(phis[i], phis[i + 1]),) + phis[i + 2:]
                 if self._admitted(p, merged):
                     dim = G.dims[self._value_at(p + 1, t)]
-                    self._add_block(entries, p + 1, t, p, merged,
-                                    DenseMatrix.identity(dim), sign)
+                    if dim not in units:
+                        units[dim] = Matrix.identity(dim)
+                    blocks.append(self._block(p + 1, t, p, merged, units[dim], sign))
                 sign = -sign
             head = phis[:-1]
             if self._admitted(p, head):
                 comp_head = self._value_at(p, head)
                 mat = G.matrix(comp_head, base.identity[src0], phis[-1])
-                self._add_block(entries, p + 1, t, p, head, mat, sign)
-        return DenseMatrix(rows, cols, entries)
+                blocks.append(self._block(p + 1, t, p, head, mat, sign))
+        return Matrix.from_blocks(self.space_dims[p + 1], self.space_dims[p], blocks)
 
     def slot_layout(self, p: int):
         """(tuple, value-space labels, offset) per admitted p-tuple."""
@@ -386,7 +379,7 @@ class CohomologyGroup:
     def set_representatives(self, reps):
         """Re-base on caller-supplied cocycles after checking they span H^p."""
         coords = [self.class_coords(r) for r in reps]
-        m = DenseMatrix.from_columns(coords, nrows=self.dim) if reps else None
+        m = Matrix.from_columns(coords, nrows=self.dim) if reps else None
         if len(reps) != self.dim or (m is not None and rank(m) != self.dim):
             raise CategoryError("supplied representatives do not form a basis")
         self.representatives = [list(r) for r in reps]
@@ -404,7 +397,7 @@ class CohomologyGroup:
             cols = [list(r) for r in self.representatives] + [list(b) for b in self._boundaries]
             if not cols:
                 return []
-            self._system = DenseMatrix.from_columns(cols, nrows=rc.space_dims[self.degree])
+            self._system = Matrix.from_columns(cols, nrows=rc.space_dims[self.degree])
         x = solve(self._system, vec)
         if x is None:
             raise CocycleError(vec)

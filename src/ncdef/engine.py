@@ -30,7 +30,7 @@ from fractions import Fraction
 from .algebra import AlgebraElement, PresentedAlgebra
 from .cokernels import ExtDiagram, GlobalHochschild
 from .diagrams import CocycleError
-from .linalg import DenseMatrix, kernel_basis, rank, solve
+from .linalg import Matrix, kernel_basis, rank, solve
 from .matric import (
     MatricArtin,
     MatricElement,
@@ -776,7 +776,7 @@ class EngineContext:
                 ("tau", comp): [-A_k.monomial_element(m) for m in tau_bases[comp]],
             }
             add_equation(entries, A_k, d_eq)
-        system = DenseMatrix.from_rows(rows) if rows else DenseMatrix.zero(0, total)
+        system = Matrix.from_rows(rows) if rows else Matrix.zero(0, total)
         sol_dim = len(kernel_basis(system))
 
         # equivalence directions: 0-cochains pi per chart, restricted to the
@@ -802,7 +802,7 @@ class EngineContext:
                     if mm in high_index:
                         high_rows[high_index[mm]][col] = c
             if high_rows:
-                high = DenseMatrix.from_rows(high_rows)
+                high = Matrix.from_rows(high_rows)
                 pi_space = kernel_basis(high)
             else:
                 pi_space = [
@@ -832,7 +832,7 @@ class EngineContext:
                         col[off_t + tau_index[name][mm]] += c
                 eq_cols.append(col)
         if eq_cols:
-            eq_rank = rank(DenseMatrix.from_columns(eq_cols, nrows=total))
+            eq_rank = rank(Matrix.from_columns(eq_cols, nrows=total))
         else:
             eq_rank = 0
         return sol_dim - eq_rank

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import DenseMatrix, SubspaceReducer, solve
+from .linalg import Matrix, SubspaceReducer, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -412,7 +412,7 @@ class SmallSurjection:
         self._kernel_ech = ech
         # one matrix per surjection, so every solve against it reuses one
         # factorization; None for a zero kernel
-        self.kernel_matrix = DenseMatrix.from_columns(
+        self.kernel_matrix = Matrix.from_columns(
             [source.vector(k) for k in kernel], nrows=source.dim
         ) if kernel else None
         rad = source.radical_basis(1)

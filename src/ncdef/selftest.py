@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from .diagrams import build_resolving_complex
-from .linalg import DenseMatrix, cokernel_reps, image_basis, kernel_basis, rank, solve
+from .linalg import Matrix, cokernel_reps, image_basis, kernel_basis, rank, solve
 from .synthetic import random_hom_functor, random_poset
 
 
@@ -49,7 +49,7 @@ def suite_linalg_roundtrips(seed=20260810, runs=200):
             else Fraction(0)
             for _ in range(rows * cols)
         ]
-        m = DenseMatrix(rows, cols, entries)
+        m = Matrix(rows, cols, entries)
         ker = kernel_basis(m)
         if rank(m) + len(ker) != cols:
             return False, "rank-nullity failed"

@@ -19,7 +19,7 @@ from ncdef.algebra import (
     s_polynomial,
     truncated_operator_matrix,
 )
-from ncdef.linalg import DenseMatrix, kernel_basis, rank
+from ncdef.linalg import Matrix, kernel_basis, rank
 
 
 def chart_A1(a, b):
@@ -244,7 +244,7 @@ def test_multiplication_by_one_is_identity():
     for d in (2, 4):
         m = truncated_operator_matrix(lambda e: e, A, A, d, d)
         n = len(A.nf_monomials(d))
-        assert m == DenseMatrix.identity(n)
+        assert m == Matrix.identity(n)
 
 
 def test_multiplication_by_x_is_injective_below_relation_degree():

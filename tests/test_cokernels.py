@@ -18,7 +18,7 @@ from ncdef.cokernels import (
 )
 from ncdef.diagrams import constant_functor
 from ncdef.elliptic import INCL_13, INCL_23, U1, U2, U3, SingularCurve, build
-from ncdef.linalg import DenseMatrix
+from ncdef.linalg import Matrix
 
 
 def coker(cfg, chart, d_start=6, d_max=24, preferred=True):
@@ -250,7 +250,7 @@ def test_tampered_reduction_raises_under_python_O():
 def test_diagram_identity_inclusion_is_identity(diagram11):
     f = diagram11.functor
     n = f.dims["U1>U3"]
-    assert f.matrix("U1>U3", "id:U1", "id:U3") == DenseMatrix.identity(n)
+    assert f.matrix("U1>U3", "id:U1", "id:U3") == Matrix.identity(n)
 
 
 def test_diagram_intersection_slots_share_the_value_space(diagram11):

@@ -8,12 +8,13 @@ from ncdef.diagrams import (
     CocycleError,
     FiniteCategory,
     Morphism,
+    MorFunctor,
     ResolvingComplex,
     build_resolving_complex,
     constant_functor,
     direct_limit_dim,
 )
-from ncdef.linalg import DenseMatrix
+from ncdef.linalg import Matrix
 from ncdef.synthetic import random_hom_functor, random_poset, zero_functor
 
 
@@ -91,14 +92,40 @@ def test_a_flipped_differential_sign_fails_the_dd_check(monkeypatch):
             return d
         # every row of d_0 is nonzero here, so flipping any nonzero entry
         # of d_1 leaves d_1 . d_0 nonzero
-        entries = list(d.entries)
+        entries = [e for i in range(d.rows) for e in d.row(i)]
         k = next(k for k, e in enumerate(entries) if e)
         entries[k] = -entries[k]
-        return DenseMatrix(d.rows, d.cols, entries)
+        return Matrix(d.rows, d.cols, entries)
 
     monkeypatch.setattr(ResolvingComplex, "_build_differential", flipped)
     with pytest.raises(CategoryError, match=r"d\.d != 0 between degrees 0 and 2"):
         build_resolving_complex(chain, G)
+
+
+def test_check_functor_catches_one_changed_entry_of_a_hom_functor():
+    # (id:a, id:a, a>c) is the right-hand side of the checked pair
+    # (a>b, id:c).(id:a, b>c), whose factors it is not: changing one of its
+    # entries, a nonzero to zero or a zero to nonzero, must fail the check
+    chain = FiniteCategory.poset(["a", "b", "c"], [("a", "b"), ("b", "c")])
+    key = ("id:a", "id:a", "a>c")
+    changed = set()
+    for seed in range(20):
+        G = random_hom_functor(chain, random.Random(seed))
+        G.check_functor()
+        m = G.mats[key]
+        entries = [e for i in range(m.rows) for e in m.row(i)]
+        for to_zero in (True, False):
+            hits = [k for k, e in enumerate(entries) if bool(e) == to_zero]
+            if not hits:
+                continue
+            bad = list(entries)
+            bad[hits[0]] = Fraction(0) if to_zero else Fraction(1)
+            mats = dict(G.mats)
+            mats[key] = Matrix(m.rows, m.cols, bad)
+            with pytest.raises(CategoryError, match="functoriality fails"):
+                MorFunctor(chain, G.dims, mats, G.labels).check_functor()
+            changed.add(to_zero)
+    assert changed == {True, False}
 
 
 def test_normalized_and_full_cohomology_dims_agree():

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from ncdef.linalg import (
-    DenseMatrix,
     DimensionMismatch,
+    Matrix,
     SubspaceReducer,
     cokernel_reps,
     image_basis,
@@ -17,14 +17,14 @@ from ncdef.linalg import (
 
 
 def test_rref_identity():
-    m = DenseMatrix.identity(3)
+    m = Matrix.identity(3)
     r, pivots = rref(m)
     assert r == m
     assert pivots == [0, 1, 2]
 
 
 def test_rref_zero():
-    m = DenseMatrix.zero(2, 3)
+    m = Matrix.zero(2, 3)
     r, pivots = rref(m)
     assert r == m
     assert pivots == []
@@ -32,53 +32,55 @@ def test_rref_zero():
 
 def test_rref_rank_one():
     # hand Gaussian elimination: R2 -> R2 - 2*R1 kills the second row
-    m = DenseMatrix.from_rows([[1, 2], [2, 4]])
+    m = Matrix.from_rows([[1, 2], [2, 4]])
     r, pivots = rref(m)
-    assert r == DenseMatrix.from_rows([[1, 2], [0, 0]])
+    assert r == Matrix.from_rows([[1, 2], [0, 0]])
     assert pivots == [0]
 
 
 def test_rref_pivot_list_strictly_increasing():
-    m = DenseMatrix.from_rows([[0, 1, 3], [0, 2, 7], [0, 0, 1]])
+    m = Matrix.from_rows([[0, 1, 3], [0, 2, 7], [0, 0, 1]])
     _, pivots = rref(m)
     assert pivots == sorted(set(pivots))
 
 
 def test_kernel_cokernel_identity():
-    m = DenseMatrix.identity(4)
+    m = Matrix.identity(4)
     assert kernel_basis(m) == []
     assert cokernel_reps(m) == []
 
 
 def test_solve_zero_matrix_zero_rhs():
-    m = DenseMatrix.zero(2, 2)
+    m = Matrix.zero(2, 2)
     assert solve(m, [0, 0]) == [0, 0]
     assert solve(m, [1, 0]) is None
 
 
 def test_cokernel_of_column_embedding():
     # the map k -> k^2, 1 |-> (1, 2), has rank 1, so exactly one complement index
-    m = DenseMatrix.from_rows([[1], [2]])
+    m = Matrix.from_rows([[1], [2]])
     reps = cokernel_reps(m)
     assert len(reps) == 1
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(DimensionMismatch):
-        DenseMatrix(2, 2, [1, 2, 3])
+        Matrix(2, 2, [1, 2, 3])
     with pytest.raises(DimensionMismatch):
-        solve(DenseMatrix.identity(2), [1, 2, 3])
+        solve(Matrix.identity(2), [1, 2, 3])
     with pytest.raises(DimensionMismatch):
-        DenseMatrix.identity(2) @ DenseMatrix.identity(3)
+        Matrix.identity(2) @ Matrix.identity(3)
     with pytest.raises(DimensionMismatch):
-        DenseMatrix.identity(2).apply([1, 2, 3])
+        Matrix.identity(2).apply([1, 2, 3])
 
 
 def test_entries_of_any_rational_type_become_fractions():
-    m = DenseMatrix(2, 2, [1, "3/4", Fraction(-2, 6), "0"])
-    assert m.entries == (Fraction(1), Fraction(3, 4), Fraction(-1, 3), Fraction(0))
-    assert all(type(e) is Fraction for e in m.entries)
-    assert m == DenseMatrix.from_rows([[Fraction(1), Fraction(3, 4)], [Fraction(-1, 3), 0]])
+    m = Matrix(2, 2, [1, "3/4", Fraction(-2, 6), "0"])
+    assert [m.row(0), m.row(1)] == [(Fraction(1), Fraction(3, 4)), (Fraction(-1, 3), Fraction(0))]
+    assert all(type(e) is Fraction for i in range(2) for e in m.row(i))
+    # the zero given as "0" is not stored
+    assert m.sparse == [{0: Fraction(1), 1: Fraction(3, 4)}, {0: Fraction(-1, 3)}]
+    assert m == Matrix.from_rows([[Fraction(1), Fraction(3, 4)], [Fraction(-1, 3), 0]])
 
 
 def _random_matrix(rng, rows, cols, zeros=0.35):
@@ -88,7 +90,7 @@ def _random_matrix(rng, rows, cols, zeros=0.35):
             entries.append(Fraction(0))
         else:
             entries.append(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
-    return DenseMatrix(rows, cols, entries)
+    return Matrix(rows, cols, entries)
 
 
 # --- products ------------------------------------------------------------------
@@ -96,11 +98,11 @@ def _random_matrix(rng, rows, cols, zeros=0.35):
 
 def _shaped_matrix(rng, rows, cols, kind):
     if kind == "zero":
-        return DenseMatrix.zero(rows, cols)
+        return Matrix.zero(rows, cols)
     if kind == "dense":
-        return DenseMatrix(rows, cols, [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
-                                                 rng.randint(1, 4))
-                                        for _ in range(rows * cols)])
+        return Matrix(rows, cols, [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]),
+                                            rng.randint(1, 4))
+                                   for _ in range(rows * cols)])
     return _random_matrix(rng, rows, cols)
 
 
@@ -115,8 +117,7 @@ def test_products_match_a_triple_loop_on_seeded_matrices():
                 for i in range(n) for j in range(m)]
         prod = a @ b
         assert (prod.rows, prod.cols) == (n, m)
-        assert list(prod.entries) == want
-        # a second product reads the right factor's cached nonzeros
+        assert [e for i in range(n) for e in prod.row(i)] == want
         assert a @ b == prod
         vec = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(k)]
         assert a.apply(vec) == [sum((a[i, t] * vec[t] for t in range(k)), Fraction(0))
@@ -125,6 +126,70 @@ def test_products_match_a_triple_loop_on_seeded_matrices():
         shapes.add((n == 0, k == 0, m == 0))
     # 0 x n, n x 0 and empty inner dimensions all occur
     assert {(True, False, False), (False, True, False), (False, False, True)} <= shapes
+
+
+def _dense(m):
+    return (m.rows, m.cols, [m.row(i) for i in range(m.rows)])
+
+
+def _assert_zero_free(m):
+    assert len(m.sparse) == m.rows
+    for row in m.sparse:
+        for j, e in row.items():
+            assert type(e) is Fraction and e != 0 and 0 <= j < m.cols
+
+
+def test_stored_rows_hold_no_zero_and_equality_reads_the_dense_rows():
+    rng = random.Random(20261022)
+    shapes = set()
+    for _ in range(200):
+        n, k, m = (rng.randint(0, 4) for _ in range(3))
+        a, b = (_shaped_matrix(rng, n, k, rng.choice(["zero", "dense", "sparse"]))
+                for _ in range(2))
+        c = _shaped_matrix(rng, k, m, rng.choice(["zero", "dense", "sparse"]))
+        same_shape = [a, b, a + b, a - b, (a - b) + b, b + a, a - a, a + a.scale(-1),
+                      a.scale(0), a.scale(Fraction(-1, 2)), rref(a)[0]]
+        others = [a @ c, (a - a) @ c, a @ (c - c), a.transpose(), a.hstack(b)]
+        for x in same_shape + others:
+            _assert_zero_free(x)
+        assert (a - a).is_zero() and a.scale(0).is_zero() and ((a - a) @ c).is_zero()
+        assert (a - b) + b == a and a + b == b + a
+        for x in same_shape:
+            for y in same_shape:
+                assert (x == y) == (_dense(x) == _dense(y))
+        shapes.add((n == 0, k == 0))
+    assert {(True, False), (False, True), (False, False)} <= shapes
+
+
+def test_products_that_cancel_store_empty_rows():
+    x = Matrix.from_rows([[1, 1], [2, 3]])
+    y = Matrix.from_rows([[1, 2], [-1, -2]])
+    assert (x @ y).sparse == [{}, {0: Fraction(-1), 1: Fraction(-2)}]
+    assert x @ y == Matrix.from_rows([[0, 0], [-1, -2]])
+
+
+def test_from_blocks_sums_signed_blocks_and_drops_cancelled_entries():
+    rng = random.Random(20261023)
+    for _ in range(100):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        want = [[Fraction(0)] * cols for _ in range(rows)]
+        blocks = []
+        for _ in range(rng.randint(0, 5)):
+            r0, c0 = rng.randint(0, rows), rng.randint(0, cols)
+            block = _shaped_matrix(rng, rng.randint(0, rows - r0), rng.randint(0, cols - c0),
+                                   rng.choice(["zero", "dense", "sparse"]))
+            sign = rng.choice([1, -1])
+            blocks.append((r0, c0, block, sign))
+            # the same block again with the other sign cancels it
+            if rng.random() < 0.3:
+                blocks.append((r0, c0, block, -sign))
+                sign = 0
+            for i in range(block.rows):
+                for j in range(block.cols):
+                    want[r0 + i][c0 + j] += sign * block[i, j]
+        m = Matrix.from_blocks(rows, cols, blocks)
+        _assert_zero_free(m)
+        assert _dense(m) == (rows, cols, [tuple(r) for r in want])
 
 
 def test_rank_nullity_and_solve_roundtrip_200_random_matrices():
@@ -223,7 +288,7 @@ def _random_system(rng):
     if rows > 1 and cols and rng.random() < 0.4:
         # rank-deficient: the last row repeats a multiple of the first
         c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        m = DenseMatrix.from_rows([m.row(i) for i in range(rows - 1)]
+        m = Matrix.from_rows([m.row(i) for i in range(rows - 1)]
                                   + [[c * e for e in m.row(0)]])
     return m
 
@@ -250,11 +315,11 @@ def test_rref_matches_independent_gauss_jordan_on_200_random_matrices():
     for _ in range(200):
         m = _random_system(rng)
         if rng.random() < 0.1:
-            m = DenseMatrix.zero(m.rows, m.cols)
+            m = Matrix.zero(m.rows, m.cols)
         rows, pivots = _reference_rref([list(m.row(i)) for i in range(m.rows)])
         r, got = rref(m)
         assert got == pivots
-        assert r == DenseMatrix(m.rows, m.cols, [e for row in rows for e in row])
+        assert r == Matrix(m.rows, m.cols, [e for row in rows for e in row])
         shapes.add("0 x n" if not m.rows else "n x 0" if not m.cols
                    else "zero" if not pivots else
                    "deficient" if len(pivots) < min(m.rows, m.cols) else "full")
@@ -268,7 +333,7 @@ def test_many_rhs_on_one_matrix_equal_fresh_matrices():
         for _ in range(10):
             b = [Fraction(rng.randint(-4, 4)) if rng.random() < 0.5 else Fraction(0)
                  for _ in range(m.rows)]
-            fresh = DenseMatrix(m.rows, m.cols, m.entries)
+            fresh = Matrix(m.rows, m.cols, [e for i in range(m.rows) for e in m.row(i)])
             assert solve(m, b) == solve(fresh, b)
 
 
@@ -281,7 +346,7 @@ def test_row_order_changes_no_elimination_result():
         m = _random_system(rng)
         order = list(range(m.rows))
         rng.shuffle(order)
-        permuted = DenseMatrix(m.rows, m.cols, [e for i in order for e in m.row(i)])
+        permuted = Matrix(m.rows, m.cols, [e for i in order for e in m.row(i)])
         assert rref(permuted) == rref(m)
         assert kernel_basis(permuted) == kernel_basis(m)
         for b in ([Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m.rows)],
@@ -299,7 +364,7 @@ def test_matrix_eliminations_do_not_enter_subspace_reducer_add(monkeypatch):
         raise AssertionError("a matrix elimination entered SubspaceReducer.add")
 
     monkeypatch.setattr(SubspaceReducer, "add", refuse)
-    m = DenseMatrix.from_rows([[1, 2, 3], [2, 4, 7], [0, 0, 1]])
+    m = Matrix.from_rows([[1, 2, 3], [2, 4, 7], [0, 0, 1]])
     assert rank(m) == 2
     assert rref(m)[1] == [0, 2]
     assert kernel_basis(m) == [[-2, 1, 0]]
@@ -336,7 +401,7 @@ def test_subspace_reducer_rank_and_membership_match_rref_and_solve():
         if len(vectors) > 1 and rng.random() < 0.5:
             c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
             vectors.append([c * a + b for a, b in zip(vectors[0], vectors[1])])
-        span = DenseMatrix.from_columns(vectors, nrows=dim)
+        span = Matrix.from_columns(vectors, nrows=dim)
         probes = [list(_random_matrix(rng, 1, dim).row(0)) for _ in range(3)]
         probes.append(span.apply([Fraction(rng.randint(-2, 2)) for _ in vectors]))
         for descending in (False, True):
