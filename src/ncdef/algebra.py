@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .linalg import Matrix
+from .linalg import Matrix, axpy, format_terms
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -57,12 +57,7 @@ def _deglex_key(mono):
 
 def p_add(p, q):
     out = dict(p)
-    for m, c in q.items():
-        s = out.get(m, _ZERO) + c
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
+    axpy(out, _ONE, q)
     return out
 
 
@@ -73,7 +68,9 @@ def p_scale(p, c):
 
 
 def p_sub(p, q):
-    return p_add(p, p_scale(q, -_ONE))
+    out = dict(p)
+    axpy(out, -_ONE, q)
+    return out
 
 
 def p_mul(p, q):
@@ -98,19 +95,8 @@ def _linear_image(poly, image):
     """sum c * image(m) over the terms of poly, as a fresh terms dict."""
     out = {}
     for m, c in poly.items():
-        if not c:
-            continue
-        for mm, cc in image(m).items():
-            v = c if cc == 1 else c * cc
-            s = out.get(mm)
-            if s is None:
-                out[mm] = v
-            else:
-                s += v
-                if s:
-                    out[mm] = s
-                else:
-                    del out[mm]
+        if c:
+            axpy(out, c, image(m))
     return out
 
 
@@ -395,10 +381,11 @@ class PresentedAlgebra:
     # -- normal forms ----------------------------------------------------------
 
     def _reduce_laurent(self, poly):
-        return _linear_image(poly, self._monomial_nf)
+        return _linear_image(poly, self.monomial_nf)
 
-    def _monomial_nf(self, mono):
-        """Normal form of one monomial, rewritten on first use and tabled."""
+    def monomial_nf(self, mono):
+        """Normal form of one monomial as a terms dict, rewritten on first
+        use and tabled; callers must not edit it."""
         nf = self._nf_table.get(mono)
         if nf is None:
             nf = self._nf_table[mono] = _divide({mono: _ONE}, self._leading, self._inv_index)
@@ -523,31 +510,14 @@ class AlgebraElement:
             return 0
         return max(self.algebra.degree(m) for m in self.terms)
 
-    def coefficient(self, mono) -> Fraction:
-        return self.terms.get(tuple(mono), _ZERO)
-
     def sorted_terms(self):
         return sorted(
             self.terms.items(), key=lambda mc: (self.algebra.degree(mc[0]), mc[0])
         )
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            mono = self.algebra.format_monomial(m)
-            if mono == "1":
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{abs(c)}*{mono}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        fmt = self.algebra.format_monomial
+        return format_terms((fmt(m), c) for m, c in self.sorted_terms())
 
     __repr__ = __str__
 
@@ -573,10 +543,11 @@ class Derivation:
                 )
 
     def _apply_poly(self, poly) -> AlgebraElement:
-        return AlgebraElement(self.algebra, _linear_image(poly, self._monomial_image))
+        return AlgebraElement(self.algebra, _linear_image(poly, self.monomial_image))
 
-    def _monomial_image(self, mono):
-        """Leibniz expansion of one monomial, computed on first use and tabled."""
+    def monomial_image(self, mono):
+        """Leibniz expansion of one monomial as a terms dict, computed on
+        first use and tabled; callers must not edit it."""
         img = self._table.get(mono)
         if img is None:
             A = self.algebra
@@ -644,10 +615,11 @@ class AlgebraMorphism:
                 )
 
     def _apply_poly(self, poly) -> AlgebraElement:
-        return AlgebraElement(self.target, _linear_image(poly, self._monomial_image))
+        return AlgebraElement(self.target, _linear_image(poly, self.monomial_image))
 
-    def _monomial_image(self, mono):
-        """Power product of generator images for one monomial, tabled."""
+    def monomial_image(self, mono):
+        """Power product of generator images for one monomial as a terms
+        dict, tabled; callers must not edit it."""
         img = self._table.get(mono)
         if img is None:
             term = self.target.one()

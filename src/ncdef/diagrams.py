@@ -141,16 +141,6 @@ class FiniteCategory:
         return out
 
 
-class MorCategory:
-    """Category of morphisms: objects are base morphisms, arrows are the
-    pairs (alpha, beta) with beta . f . alpha = g."""
-
-    def __init__(self, base: FiniteCategory):
-        self.base = base
-        self.objects = list(base.morphisms)
-        self.arrows = base.mor_arrows()
-
-
 class MorFunctor:
     """Finite-dimensional functor on the morphism category.
 

@@ -21,6 +21,13 @@ in cokernel coordinates and taking derivation preimages of the residual
 yields corrections (psi += E, tau += W) that kill the defect exactly; the
 hull loop alternates naive lifts, relation extraction from nonzero classes,
 and corrected lifts, exactly in the tower of the obstruction morphism.
+
+Every element of A (x) R is one flat sparse Q-vector keyed by (base word,
+chart monomial) pairs. Sums, scalings, pushes and the images of chart maps
+are combinations of rows through the one accumulate ``linalg.axpy``, and a
+product of two such vectors reads two tables: the base's reduced word
+products (``MatricArtin.word_product``) and the chart algebra's monomial
+normal forms (``PresentedAlgebra.monomial_nf``).
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from fractions import Fraction
 from .algebra import AlgebraElement, PresentedAlgebra
 from .cokernels import ExtDiagram, GlobalHochschild
 from .diagrams import CocycleError
-from .linalg import Matrix, kernel_basis, rank, solve
+from .linalg import Matrix, axpy, kernel_basis, rank, solve
 from .matric import (
     MatricArtin,
     MatricElement,
@@ -60,104 +67,95 @@ class UnsupportedDefect(EngineError):
 
 
 class TensorElement:
-    """Element of A (x) R: base-word keyed chart-algebra coefficients."""
+    """Element of A (x) R as one sparse Q-vector: ``coeffs`` maps each
+    (base word, normal-form monomial) pair to its nonzero coefficient.
+
+    Sums, scalings and pushes accumulate rows with ``linalg.axpy``; a
+    product reads the base's tabled word products and the chart algebra's
+    tabled monomial normal forms. The constructor owns the dict it is given.
+    """
 
     __slots__ = ("algebra", "base", "coeffs")
 
     def __init__(self, algebra: PresentedAlgebra, base: MatricArtin, coeffs=None):
         self.algebra = algebra
         self.base = base
-        self.coeffs = {}
-        if coeffs:
-            for w, a in coeffs.items():
-                if w not in base.qindex:
-                    raise EngineError(f"word {w} is not a base basis word")
-                if not a.is_zero():
-                    self.coeffs[w] = a
+        self.coeffs = {} if coeffs is None else coeffs
 
     @classmethod
     def from_pairs(cls, algebra, base, pairs):
         """Sum of a_k (x) r_k with r_k arbitrary base elements."""
-        out = cls(algebra, base)
+        out = {}
         for a, r in pairs:
-            a = algebra.normal_form(a)
+            terms = algebra.normal_form(a).terms
             for w, c in base.reduce(base.free.element(dict(r.coeffs))).coeffs.items():
-                out = out + cls(algebra, base, {w: a * c})
-        return out
+                axpy(out, c, _row(w, terms))
+        return cls(algebra, base, out)
 
     @classmethod
     def unit(cls, algebra, base):
-        one = algebra.one()
-        return cls(algebra, base, {w: one for w, c in base.one().coeffs.items()})
+        return cls.from_pairs(algebra, base, [(algebra.one(), base.one())])
 
     def __add__(self, other):
         out = dict(self.coeffs)
-        for w, a in other.coeffs.items():
-            s = out.get(w)
-            s = a if s is None else s + a
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+        axpy(out, _ONE, other.coeffs)
         return TensorElement(self.algebra, self.base, out)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        out = dict(self.coeffs)
+        axpy(out, -_ONE, other.coeffs)
+        return TensorElement(self.algebra, self.base, out)
 
     def scale(self, c):
         c = Fraction(c)
+        if not c:
+            return TensorElement(self.algebra, self.base)
         return TensorElement(self.algebra, self.base,
-                             {w: a * c for w, a in self.coeffs.items()})
+                             {k: c * e for k, e in self.coeffs.items()})
 
     def __mul__(self, other):
         if not isinstance(other, TensorElement):
             raise EngineError("tensor elements multiply with tensor elements")
-        out = TensorElement(self.algebra, self.base)
-        acc: dict = {}
-        for w1, a1 in self.coeffs.items():
-            for w2, a2 in other.coeffs.items():
-                prod = self.base.multiply(
-                    MatricElement(self.base, {w1: _ONE}),
-                    MatricElement(self.base, {w2: _ONE}),
-                )
-                if prod.is_zero():
-                    continue
-                a = a1 * a2
-                for w, c in prod.coeffs.items():
-                    cur = acc.get(w)
-                    acc[w] = a * c if cur is None else cur + a * c
-        return out + TensorElement(self.algebra, self.base,
-                                   {w: a for w, a in acc.items() if not a.is_zero()})
-
-    def map_coefficients(self, fn, target_algebra=None):
-        algebra = target_algebra or self.algebra
+        word_product = self.base.word_product
+        monomial_nf = self.algebra.monomial_nf
         out = {}
-        for w, a in self.coeffs.items():
-            b = fn(a)
-            if not b.is_zero():
-                out[w] = b
-        return TensorElement(algebra, self.base, out)
+        for (u, m1), c1 in self.coeffs.items():
+            for (v, m2), c2 in other.coeffs.items():
+                prod = word_product(u, v)
+                if prod:
+                    terms = monomial_nf(tuple(a + b for a, b in zip(m1, m2)))
+                    c = c1 * c2
+                    for w, cw in prod.items():
+                        axpy(out, c * cw, _row(w, terms))
+        return TensorElement(self.algebra, self.base, out)
+
+    def map_coefficients(self, op, target_algebra=None):
+        """Apply a Derivation or AlgebraMorphism to every chart coefficient."""
+        image = op.monomial_image
+        out = {}
+        for (w, m), c in self.coeffs.items():
+            axpy(out, c, _row(w, image(m)))
+        return TensorElement(target_algebra or self.algebra, self.base, out)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def radical_part_only(self) -> bool:
-        return all(self.base.free.word_length(w) >= 1 for w in self.coeffs)
+        return all(self.base.free.word_length(w) >= 1 for w, _m in self.coeffs)
 
     def rebase_section(self, new_base: MatricArtin) -> TensorElement:
         """Monomial section into a larger quotient of the same free algebra."""
+        for w, _m in self.coeffs:
+            if w not in new_base.qindex:
+                raise EngineError(f"word {w} is not a base basis word")
         return TensorElement(self.algebra, new_base, dict(self.coeffs))
 
     def push(self, word_image_fn, new_base: MatricArtin) -> TensorElement:
         """Push along a base morphism given by its action on basis words."""
-        out = TensorElement(self.algebra, new_base)
-        for w, a in self.coeffs.items():
-            img = word_image_fn(w)
-            pieces = {}
-            for w2, c in img.coeffs.items():
-                pieces[w2] = a * c
-            out = out + TensorElement(self.algebra, new_base, pieces)
-        return out
+        out = {}
+        for (w, m), c in self.coeffs.items():
+            axpy(out, c, {(w2, m): c2 for w2, c2 in word_image_fn(w).coeffs.items()})
+        return TensorElement(self.algebra, new_base, out)
 
     def __eq__(self, other):
         return (
@@ -166,15 +164,10 @@ class TensorElement:
             and self.coeffs == other.coeffs
         )
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for w in sorted(self.coeffs, key=lambda w: (self.base.free.word_length(w), w)):
-            parts.append(f"({self.coeffs[w]})*{self.base.free.format_word(w)}")
-        return " + ".join(parts)
 
-    __repr__ = __str__
+def _row(word, terms: dict) -> dict:
+    """The A (x) R row of word (x) (the chart element with these terms)."""
+    return {(word, m): c for m, c in terms.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -490,38 +483,33 @@ class EngineContext:
         mat = surj.kernel_matrix
         if mat is None:
             raise UnsupportedDefect("nonzero defect with a zero kernel")
-        monomials = sorted({m for a in te.coeffs.values() for m in a.terms},
-                           key=lambda m: (te.algebra.degree(m), m))
-        out = [te.algebra.zero() for _ in surj.kernel_basis]
-        for mono in monomials:
+        by_monomial: dict[tuple, dict] = {}
+        for (w, m), c in te.coeffs.items():
+            by_monomial.setdefault(m, {})[base.qindex[w]] = c
+        out = [{} for _ in surj.kernel_basis]
+        for mono in sorted(by_monomial, key=lambda m: (te.algebra.degree(m), m)):
             vec = [_ZERO] * base.dim
-            for w, a in te.coeffs.items():
-                c = a.terms.get(mono)
-                if c:
-                    vec[base.qindex[w]] = c
+            for k, c in by_monomial[mono].items():
+                vec[k] = c
             x = solve(mat, vec)
             if x is None:
                 raise UnsupportedDefect("defect does not lie in A (x) K")
             for m_idx, c in enumerate(x):
                 if c:
-                    out[m_idx] = out[m_idx] + te.algebra.normal_form({mono: c})
-        return out
+                    out[m_idx][mono] = c
+        return [AlgebraElement(te.algebra, terms) for terms in out]
 
     def _defect_cochain_vectors(self, defect: DefectCochain, surj: SmallSurjection):
         """Per kernel index: the normalized degree-1 cochain of reduce coords."""
-        rc = self.hh.complex
-        n_kernel = len(surj.kernel_basis)
-        vecs = [[_ZERO] * rc.space_dims[1] for _ in range(n_kernel)]
-        for name in self.inclusions:
-            ck = self.diagram.cokernel_at(name)
-            comps = self.kernel_components(defect.d11[name], surj)
-            off = rc.offsets[1][(name,)]
-            for m_idx, a in enumerate(comps):
-                if a.is_zero():
-                    continue
-                for k, c in enumerate(ck.reduce(a).coords):
-                    vecs[m_idx][off + k] = c
-        return vecs
+        comps = {name: self.kernel_components(defect.d11[name], surj)
+                 for name in self.inclusions}
+        return [
+            _cochain(self.hh.complex, 1, [
+                (name, self.diagram.cokernel_at(name), comps[name][m_idx])
+                for name in self.inclusions if not comps[name][m_idx].is_zero()
+            ])
+            for m_idx in range(len(surj.kernel_basis))
+        ]
 
     def obstruction_class(self, defect: DefectCochain, surj: SmallSurjection) -> ObstructionClass:
         """HH^2 (x) K coordinates of a lifting defect, with a witness when zero.
@@ -567,9 +555,7 @@ class EngineContext:
                 raise NoLiftPossible("class-level solve failed on a zero class")
             kappa = surj.kernel_basis[m_idx]
             for obj in self.poset.objects:
-                ck = self.diagram.cokernels[obj]
-                off = rc.offsets[0][(obj,)]
-                elem = ck.class_element(x[off: off + ck.size])
+                elem = _slot_element(self.diagram, rc, obj, x)
                 if not elem.is_zero():
                     E[obj] = E[obj] + TensorElement.from_pairs(
                         self.algebra_of(obj), base, [(elem, kappa)]
@@ -892,28 +878,36 @@ def _merge_relations(old: list, new: list) -> list:
     return out
 
 
-def _h0_vector(diagram: ExtDiagram, hh: GlobalHochschild, xi: dict):
-    rc = hh.complex
-    vec = [_ZERO] * rc.space_dims[0]
-    for obj in diagram.poset.objects:
-        ck = diagram.cokernels[obj]
-        off = rc.offsets[0][(obj,)]
-        for k, c in enumerate(ck.reduce(xi[obj]).coords):
-            vec[off + k] = c
+def _cochain(rc, p: int, parts) -> list[Fraction]:
+    """The degree-p cochain vector of the complex rc whose block at each
+    slot holds the reduce coordinates of its element; parts lists
+    (slot, cokernel presentation, element), and unlisted slots stay zero."""
+    vec = [_ZERO] * rc.space_dims[p]
+    for slot, ck, elem in parts:
+        off = rc.offsets[p][(slot,)]
+        vec[off: off + ck.size] = ck.reduce(elem).coords
     return vec
+
+
+def _slot_element(diagram: ExtDiagram, rc, obj: str, x) -> AlgebraElement:
+    """The chart element at obj whose class the degree-0 cochain x holds."""
+    ck = diagram.cokernels[obj]
+    off = rc.offsets[0][(obj,)]
+    return ck.class_element(x[off: off + ck.size])
+
+
+def _h0_vector(diagram: ExtDiagram, hh: GlobalHochschild, xi: dict):
+    return _cochain(hh.complex, 0, [
+        (obj, diagram.cokernels[obj], xi[obj]) for obj in diagram.poset.objects
+    ])
 
 
 def _h1_vector(diagram: ExtDiagram, hh: GlobalHochschild, omega_strings: dict):
-    rc = hh.complex
-    vec = [_ZERO] * rc.space_dims[1]
-    for name in diagram.poset.sorted_morphisms():
-        if diagram.poset.is_identity(name):
-            continue
-        ck = diagram.cokernel_at(name)
-        off = rc.offsets[1][(name,)]
-        for k, c in enumerate(ck.reduce(omega_strings[name]).coords):
-            vec[off + k] = c
-    return vec
+    poset = diagram.poset
+    return _cochain(hh.complex, 1, [
+        (name, diagram.cokernel_at(name), omega_strings[name])
+        for name in poset.sorted_morphisms() if not poset.is_identity(name)
+    ])
 
 
 def _derive_tangent_reps(diagram: ExtDiagram, hh: GlobalHochschild):
@@ -923,11 +917,7 @@ def _derive_tangent_reps(diagram: ExtDiagram, hh: GlobalHochschild):
     poset = diagram.poset
     reps = []
     for vec in hh.h0.representatives:
-        xi = {}
-        for obj in poset.objects:
-            ck = diagram.cokernels[obj]
-            off = rc.offsets[0][(obj,)]
-            xi[obj] = ck.class_element(vec[off: off + ck.size])
+        xi = {obj: _slot_element(diagram, rc, obj, vec) for obj in poset.objects}
         tau = {}
         for name in poset.sorted_morphisms():
             if poset.is_identity(name):

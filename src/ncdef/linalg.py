@@ -96,11 +96,11 @@ class Matrix:
     def from_blocks(cls, rows: int, cols: int, blocks) -> Matrix:
         """The rows x cols sum of signed blocks: each ``(r0, c0, block, c)``
         adds c * block with its top-left entry at (r0, c0). The factor c is
-        an int or a Fraction; an int sign keeps ``_axpy``'s unit test cheap."""
+        a Fraction or an int sign; a sign keeps ``axpy``'s unit test cheap."""
         out = [{} for _ in range(rows)]
         for r0, c0, block, c in blocks:
             for r, row in enumerate(block.sparse, r0):
-                _axpy(out[r], c, {c0 + j: e for j, e in row.items()})
+                axpy(out[r], c, {c0 + j: e for j, e in row.items()})
         return cls.from_sparse(rows, cols, out)
 
     @classmethod
@@ -175,7 +175,7 @@ class Matrix:
         out = []
         for a, b in zip(self.sparse, other.sparse):
             v = dict(a)
-            _axpy(v, c, b)
+            axpy(v, c, b)
             out.append(v)
         return Matrix.from_sparse(self.rows, self.cols, out)
 
@@ -401,7 +401,7 @@ def _reduce(rows: dict, v: dict) -> dict:
     """Subtract from v, in place, its projection on the reduced rows."""
     # the rows are reduced, so each pivot's coefficient is v's own entry
     for p in [p for p in v if p in rows]:
-        _axpy(v, -v[p], rows[p])
+        axpy(v, -v[p], rows[p])
     return v
 
 
@@ -421,21 +421,33 @@ def _insert(rows: dict, v: dict, first) -> bool:
     for row in rows.values():
         c = row.get(p)
         if c:
-            _axpy(row, -c, v)
+            axpy(row, -c, v)
     rows[p] = v
     return True
 
 
-def _axpy(v: dict, c: Fraction | int, row: dict) -> None:
-    """v += c * row on sparse vectors, dropping the entries that cancel."""
+def axpy(v: dict, c: Fraction | int, row: dict) -> None:
+    """v += c * row on sparse vectors, dropping the entries that cancel.
+
+    The one sparse accumulate: matrices, chart-ring polynomials, base
+    elements and A (x) R elements all combine their rows through it. The
+    factor c is a nonzero Fraction or an int sign; row keys are any
+    hashable indices.
+
+    >>> v = {0: Fraction(1)}
+    >>> axpy(v, Fraction(-1, 2), {0: Fraction(2), 1: Fraction(1)})
+    >>> v
+    {1: Fraction(-1, 2)}
+    """
     # c is 1 or -1 for 83 % of the entries on the cohomology benchmark's
     # inputs (signed blocks, unit pivots), 15 % on the pipeline's: then add
-    # or subtract the row without products, testing c once per call
+    # or subtract the row without products, testing c once per call; a row
+    # entry 1 (tabled normal forms and word products) skips the product too
     sub = c == -1
     scale = not sub and c != 1
     for j, r in row.items():
         if scale:
-            r = c * r
+            r = c if r == 1 else c * r
         s = v.get(j)
         if s is None:
             v[j] = -r if sub else r
@@ -445,3 +457,28 @@ def _axpy(v: dict, c: Fraction | int, row: dict) -> None:
                 v[j] = s
             else:
                 del v[j]
+
+
+def format_terms(terms) -> str:
+    """A signed sum of terms, from (label, coefficient) pairs in print
+    order. A label "1" prints as the bare coefficient, and no terms print
+    as 0.
+
+    >>> format_terms([("x", Fraction(-2)), ("y", Fraction(1)), ("1", Fraction(3, 2))])
+    '-2*x + y + 3/2'
+    >>> format_terms([])
+    '0'
+    """
+    parts = []
+    for label, c in terms:
+        if label == "1":
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = label
+        else:
+            body = f"{abs(c)}*{label}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) if parts else "0"

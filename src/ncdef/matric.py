@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Matrix, SubspaceReducer, solve
+from .linalg import Matrix, SubspaceReducer, axpy, format_terms, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -169,16 +169,13 @@ class MatricElement:
 
     def __add__(self, other):
         out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = out.get(w, _ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
+        axpy(out, _ONE, other.coeffs)
         return MatricElement(self.parent, out)
 
     def __sub__(self, other):
-        return self + other.scale(-_ONE)
+        out = dict(self.coeffs)
+        axpy(out, -_ONE, other.coeffs)
+        return MatricElement(self.parent, out)
 
     def scale(self, c):
         c = Fraction(c)
@@ -214,21 +211,8 @@ class MatricElement:
 
     def __str__(self):
         free = self.parent.free if isinstance(self.parent, MatricArtin) else self.parent
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for w in sorted(self.coeffs, key=_word_key):
-            c = self.coeffs[w]
-            body = free.format_word(w)
-            if body == "1":
-                body = str(abs(c))
-            elif abs(c) != 1:
-                body = f"{abs(c)}*{body}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return format_terms((free.format_word(w), self.coeffs[w])
+                            for w in sorted(self.coeffs, key=_word_key))
 
     __repr__ = __str__
 
@@ -238,7 +222,7 @@ class MatricArtin:
 
     The ideal is stored by generators and closed to a linear basis at the
     working truncation; the quotient basis is the canonical word complement,
-    and the multiplication table reduces word products against the ideal.
+    and ``word_product`` tables the reduced product of two basis words.
     """
 
     def __init__(self, free: MatricTruncatedFree, ideal_generators=(), name="R"):
@@ -271,7 +255,7 @@ class MatricArtin:
         for i in range(1, free.p + 1):
             if ("e", i) not in self.qindex:
                 raise MatricError("ideal meets the idempotents; not a pointed quotient")
-        self._table = {}
+        self._products: dict[tuple, dict] = {}
 
     # -- reduction and elements ---------------------------------------------
 
@@ -304,17 +288,23 @@ class MatricArtin:
     def in_ideal(self, elem: MatricElement) -> bool:
         return self._ideal.contains(self.free.sparse(elem))
 
+    def word_product(self, u, v) -> dict:
+        """The reduced product of the basis words u and v as ``{word:
+        coefficient}``, computed on first use and tabled; callers must not
+        edit it."""
+        prod = self._products.get((u, v))
+        if prod is None:
+            w = self.free.mul_words(u, v)
+            prod = {} if w is None else self._reduce_sparse({self.free.index[w]: _ONE}).coeffs
+            self._products[u, v] = prod
+        return prod
+
     def multiply(self, a: MatricElement, b: MatricElement) -> MatricElement:
-        out = self.zero()
+        out = {}
         for u, cu in a.coeffs.items():
             for v, cv in b.coeffs.items():
-                key = (u, v)
-                if key not in self._table:
-                    w = self.free.mul_words(u, v)
-                    prod = self.free.zero() if w is None else self.free.element({w: _ONE})
-                    self._table[key] = self.reduce(prod)
-                out = out + self._table[key].scale(cu * cv)
-        return out
+                axpy(out, cu * cv, self.word_product(u, v))
+        return MatricElement(self, out)
 
     def vector(self, elem: MatricElement) -> list:
         v = [_ZERO] * self.dim
@@ -409,7 +399,6 @@ class SmallSurjection:
             if not e.is_zero() and ech.add(source.sparse(e)):
                 kernel.append(e)
         self.kernel_basis = kernel
-        self._kernel_ech = ech
         # one matrix per surjection, so every solve against it reuses one
         # factorization; None for a zero kernel
         self.kernel_matrix = Matrix.from_columns(
@@ -426,10 +415,6 @@ class SmallSurjection:
 
     def apply(self, elem: MatricElement) -> MatricElement:
         return self.target.reduce(self.target.free.element(dict(elem.coeffs)))
-
-    def section(self, elem: MatricElement) -> MatricElement:
-        """Monomial-basis section: reinterpret target words in the source."""
-        return self.source.reduce(self.source.free.element(dict(elem.coeffs)))
 
     def kernel_coordinates(self, elem: MatricElement):
         """Coordinates of a kernel element in the kernel basis, or None."""
@@ -468,7 +453,7 @@ class MatricMorphism:
         return self._apply_words(elem)
 
     def _apply_words(self, elem: MatricElement) -> MatricElement:
-        out = self.target.zero()
+        out = {}
         for w, c in elem.coeffs.items():
             kind, data = w
             if kind == "e":
@@ -477,5 +462,5 @@ class MatricMorphism:
                 term = self.target.one()
                 for gi in data:
                     term = self.target.multiply(term, self.images[gi])
-            out = out + term.scale(c)
-        return out
+            axpy(out, c, term.coeffs)
+        return MatricElement(self.target, out)

@@ -7,6 +7,7 @@ from ncdef import elliptic, linalg
 from ncdef.elliptic import INCL_13, INCL_23, U1, U2, U3
 from ncdef.engine import (
     EngineContext,
+    EngineError,
     TensorElement,
     _tangent_free,
     _word_elem,
@@ -42,6 +43,60 @@ def h2_base(r=2):
 def m3_base(r=2):
     free = _tangent_free(r, 3)
     return quotient(free, [], name="T/m^3")
+
+
+# --- A (x) R arithmetic --------------------------------------------------------
+
+
+def _random_chart_element(rng, A):
+    monos = A.nf_monomials(3)
+    return A.normal_form({m: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                          for m in rng.sample(monos, 3)})
+
+
+def _random_base_element(rng, R):
+    return R.element({w: Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                      for w in rng.sample(R.free.basis, 4)})
+
+
+def test_tensor_arithmetic_matches_its_definitions(ctx11):
+    # over the noncommutative T/m^4, (a (x) r) * (b (x) s) = ab (x) rs and
+    # the chart maps act on the left factor only; the right-hand sides use
+    # chart-ring and base products, never a product of tensor elements
+    rng = random.Random(20261018)
+    R = quotient(_tangent_free(2, 4), [], name="T/m^4")
+    name = INCL_13
+    i, j = ctx11.endpoints(name)
+    A_i, A_j = ctx11.algebra_of(i), ctx11.algebra_of(j)
+    rho, d_i = ctx11.restrictions[name], ctx11.charts[i].derivation
+
+    def te(x, y):
+        return TensorElement.from_pairs(A_i, R, [(x, y)])
+
+    saw_noncommuting = False
+    for _ in range(6):
+        a, b, a2, b2 = (_random_chart_element(rng, A_i) for _ in range(4))
+        r, s, r2, s2 = (_random_base_element(rng, R) for _ in range(4))
+        saw_noncommuting |= R.multiply(r, s) != R.multiply(s, r)
+        assert te(a, r) * te(b, s) == te(a * b, R.multiply(r, s))
+        assert (te(a, r) + te(a2, r2)) * (te(b, s) + te(b2, s2)) == (
+            te(a, r) * te(b, s) + te(a, r) * te(b2, s2)
+            + te(a2, r2) * te(b, s) + te(a2, r2) * te(b2, s2)
+        )
+        assert te(a, r).map_coefficients(d_i) == te(d_i(a), r)
+        assert te(a, r).map_coefficients(rho, A_j) == TensorElement.from_pairs(
+            A_j, R, [(rho(a), r)]
+        )
+    assert saw_noncommuting
+
+
+def test_rebase_section_rejects_words_outside_the_new_base(ctx11):
+    base = m3_base()
+    A = ctx11.algebra_of(U1)
+    t1t2 = base.generator("t1") * base.generator("t2")
+    te = TensorElement.from_pairs(A, base, [(A.generator("x"), t1t2)])
+    with pytest.raises(EngineError, match="is not a base basis word"):
+        te.rebase_section(h2_base())
 
 
 # --- validation -------------------------------------------------------------
@@ -209,15 +264,37 @@ def test_hull_is_commutator_relation_only(fixture, request):
     assert hc.dim == result.hull.dim  # the hull is already commutative here
 
 
-def test_hull_independent_of_representative_choices():
+def _seeded_curve(seed, a_zero):
+    """A seeded nonsingular rational (a, b), with a = 0 if asked."""
+    rng = random.Random(seed)
+
+    def rational():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    while True:
+        a = Fraction(0) if a_zero else rational()
+        b = rational()
+        if 4 * a**3 + 27 * b**2:
+            return a, b
+
+
+@pytest.mark.parametrize("a, b", [
+    (Fraction(1), Fraction(1)),
+    _seeded_curve(20261018, a_zero=False),
+    _seeded_curve(20261019, a_zero=False),
+    _seeded_curve(20261020, a_zero=True),
+], ids=str)
+def test_hull_independent_of_representative_choices(a, b):
     # with self-computed tangent classes and witness-derived restriction
-    # corrections (no configured tables at all), the hull relation is still
-    # the commutator: a linear change of tangent basis only rescales it
-    cfg = elliptic.build(1, 1)
+    # corrections (no configured tables at all), the global dimensions are
+    # de Rham's (1, 2, 1) and the hull relation is still the commutator: a
+    # linear change of tangent basis only rescales it
+    cfg = elliptic.build(a, b)
     for preferred in (cfg.ext_basis_strings(), None):
         ctx = EngineContext.from_charts(
             cfg.poset, cfg.charts, cfg.restrictions, preferred_reps=preferred,
         )
+        assert ctx.hh.dims == (1, 2, 1)
         result = ctx.hull_compute(4)
         assert result.relation_strings() == ["t1*t2 - t2*t1"]
         assert ctx.validate(result.versal_datum).is_zero()
