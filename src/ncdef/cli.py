@@ -197,14 +197,7 @@ def _cmd_hull(args) -> int:
         },
         "discriminant": str(cfg.discriminant),
         "regime": cfg.regime,
-        "hull": {
-            "relations": result.relation_strings(),
-            "new_relations_by_order": {
-                str(k): v for k, v in sorted(result.new_relations_by_order.items())
-            },
-            "dims_by_radical_degree": result.hull.radical_dims_by_order(),
-            "dim": result.hull.dim,
-        },
+        "hull": result.payload(),
         "verdicts": {
             "hull_versal_zero_defect": result.versal_defect.is_zero()
         },

@@ -34,6 +34,10 @@ from .linalg import Matrix, SubspaceReducer, kernel_basis, rref, solve  # noqa: 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# the first truncation degree the stabilization search tries; the
+# stabilization oracle re-runs a presentation from d_star + 1 instead
+D_START = 6
+
 
 class NoStabilization(RuntimeError):
     """No stable representative window found below the degree ceiling."""
@@ -82,7 +86,7 @@ class CokernelPresentation:
     """Finite presentation of coker(d: A -> A) with exact reduction data."""
 
     def __init__(self, algebra: PresentedAlgebra, derivation: Derivation,
-                 d_start: int = 6, d_max: int = 24, preferred=()):
+                 d_start: int = D_START, d_max: int = 24, preferred=()):
         self.algebra = algebra
         self.derivation = derivation
         self.d_max = d_max
@@ -261,7 +265,7 @@ class CokernelPresentation:
 
 
 def cokernel_of_derivation(algebra: PresentedAlgebra, derivation: Derivation,
-                           d_start: int = 6, d_max: int = 24,
+                           d_start: int = D_START, d_max: int = 24,
                            preferred=()) -> CokernelPresentation:
     if d_max <= d_start + 2:
         raise NoStabilization(d_max, "window larger than the degree ceiling")
@@ -277,7 +281,7 @@ class ExtDiagram:
     """
 
     def __init__(self, poset: FiniteCategory, charts: dict, restrictions: dict,
-                 d_start: int = 6, d_max: int = 24, preferred_reps=None):
+                 d_max: int = 24, preferred_reps=None):
         self.poset = poset
         self.charts = charts
         self.restrictions = dict(restrictions)
@@ -314,7 +318,7 @@ class ExtDiagram:
                         )
         self.cokernels = {
             obj: cokernel_of_derivation(
-                charts[obj].algebra, charts[obj].derivation, d_start, d_max,
+                charts[obj].algebra, charts[obj].derivation, d_max=d_max,
                 preferred=preferred_reps.get(obj, ()),
             )
             for obj in poset.objects
@@ -354,9 +358,8 @@ class ExtDiagram:
 
 
 def build_ext_diagram(poset: FiniteCategory, charts: dict, restrictions: dict,
-                      d_start: int = 6, d_max: int = 24,
-                      preferred_reps=None) -> ExtDiagram:
-    return ExtDiagram(poset, charts, restrictions, d_start, d_max, preferred_reps)
+                      d_max: int = 24, preferred_reps=None) -> ExtDiagram:
+    return ExtDiagram(poset, charts, restrictions, d_max, preferred_reps)
 
 
 class GlobalHochschild:

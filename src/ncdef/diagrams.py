@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import Matrix, SubspaceReducer, image_basis, kernel_basis, rank, solve
+from .linalg import Matrix, SubspaceReducer, kernel_basis, rank, rref, solve
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -339,28 +339,41 @@ class ResolvingComplex:
     def cohomology(self, p: int) -> CohomologyGroup:
         if p >= self.p_max:
             raise CategoryError(f"need p_max > {p} for H^{p}")
-        d_p = self.differentials[p]
-        cocycles = kernel_basis(d_p)
-        if p == 0:
-            boundaries = []
-        else:
-            boundaries = image_basis(self.differentials[p - 1])
-        return CohomologyGroup(self, p, cocycles, boundaries)
+        return CohomologyGroup(self, p)
 
 
 class CohomologyGroup:
     """H^p of a resolving complex: dimension, canonical representative
-    cocycles, and exact class coordinates in the chosen basis."""
+    cocycles, and exact class coordinates in the chosen basis.
 
-    def __init__(self, rc: ResolvingComplex, p: int, cocycles, boundaries):
+    It works in cocycle coordinates: a cocycle is fixed by its entries at
+    the free (non-pivot) columns of d_p, so Z^p is Q^free. The boundaries,
+    restricted to those columns, form one echelon pivoting on last indices.
+    The free columns left without a pivot give the canonical representatives
+    (the kernel vectors of d_p there, which greedy selection over the kernel
+    basis in column order after the boundaries accepts), and a class's
+    canonical coordinates are the residual of its free entries, read there.
+    """
+
+    def __init__(self, rc: ResolvingComplex, p: int):
         self.complex = rc
         self.degree = p
-        self._boundaries = boundaries
-        red = SubspaceReducer(rc.space_dims[p])
-        for b in boundaries:
-            red.add(b)
-        self.representatives = [z for z in cocycles if red.add(z)]
-        self._system = None
+        d = rc.differentials[p]
+        pivots = set(rref(d)[1])
+        self._free = [j for j in range(d.cols) if j not in pivots]
+        position = {j: k for k, j in enumerate(self._free)}
+        self._image = SubspaceReducer(len(self._free), descending=True)
+        if p > 0:
+            prev = rc.differentials[p - 1]
+            columns = prev.transpose().sparse
+            for j in rref(prev)[1]:
+                self._image.add({position[i]: e for i, e in columns[j].items()
+                                 if i in position})
+        taken = set(self._image.pivots)
+        self._classes = [k for k in range(len(self._free)) if k not in taken]
+        cocycles = kernel_basis(d)
+        self.representatives = [cocycles[k] for k in self._classes]
+        self._basis = None  # columns: the representatives in canonical coordinates
 
     @property
     def dim(self) -> int:
@@ -368,30 +381,26 @@ class CohomologyGroup:
 
     def set_representatives(self, reps):
         """Re-base on caller-supplied cocycles after checking they span H^p."""
-        coords = [self.class_coords(r) for r in reps]
+        coords = [self._canonical_coords(r) for r in reps]
         m = Matrix.from_columns(coords, nrows=self.dim) if reps else None
         if len(reps) != self.dim or (m is not None and rank(m) != self.dim):
             raise CategoryError("supplied representatives do not form a basis")
         self.representatives = [list(r) for r in reps]
-        self._system = None
+        self._basis = m
 
     def class_coords(self, vec) -> list[Fraction]:
         """Coordinates of a cocycle's class; exactly zero on coboundaries."""
-        rc = self.complex
+        coords = self._canonical_coords(vec)
+        return coords if self._basis is None else solve(self._basis, coords)
+
+    def _canonical_coords(self, vec) -> list[Fraction]:
+        """Class coordinates of a cocycle in the canonical representatives."""
         vec = [Fraction(e) for e in vec]
-        residual = rc.differentials[self.degree].apply(vec)
+        residual = self.complex.differentials[self.degree].apply(vec)
         if any(e != 0 for e in residual):
             raise CocycleError(residual)
-        if self._system is None:
-            # [representatives | boundaries], factored once by its first solve
-            cols = [list(r) for r in self.representatives] + [list(b) for b in self._boundaries]
-            if not cols:
-                return []
-            self._system = Matrix.from_columns(cols, nrows=rc.space_dims[self.degree])
-        x = solve(self._system, vec)
-        if x is None:
-            raise CocycleError(vec)
-        return x[: self.dim]
+        rest = self._image.residual({k: vec[j] for k, j in enumerate(self._free)})
+        return [rest.get(k, _ZERO) for k in self._classes]
 
 
 def build_resolving_complex(base: FiniteCategory, G: MorFunctor, normalized: bool = True,

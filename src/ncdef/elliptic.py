@@ -7,6 +7,11 @@ the restriction maps gluing them over the three-object cover poset. The
 pipeline computes the Ext^1 tables, the global cohomology, the cup products
 and the pro-representing hull, and certifies the closed-form exponential
 family over the hull.
+
+The configuration's tables only choose bases, in the paper's printed
+normalization: the Ext^1 representative monomials per chart, the two H^0
+classes and the H^1 class. The engine certifies each choice and derives
+everything else, the restriction corrections tau among them.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import time
 from fractions import Fraction
 
 from .algebra import AlgebraMorphism, Derivation, PresentedAlgebra
-from .cokernels import ChartData
+from .cokernels import D_START, ChartData
 from .diagrams import FiniteCategory
 from .engine import DeformationDatum, EngineContext, EngineError, TensorElement
 from .matric import quotient
@@ -50,7 +55,7 @@ class EllipticConfig:
     def regime(self) -> str:
         return "a=0" if self.a_is_zero else "a!=0"
 
-    # -- the distinguished representative tables, certified downstream --------
+    # -- the basis choices, certified downstream --------------------------------
 
     def ext_basis_strings(self):
         """Preferred cokernel representative monomials per chart; each is kept
@@ -68,20 +73,13 @@ class EllipticConfig:
         }
 
     def tangent_rep_strings(self):
-        """Two tangent representatives: per-chart operator corrections (psi)
-        and per-inclusion restriction corrections (tau)."""
-        a, b = self.a, self.b
+        """Two H^0 classes, one xi per chart each: the tangent basis."""
         disc = self.discriminant
         if not self.a_is_zero:
             xi2 = {U1: f"{disc}*z^2", U2: "15*y^2", U3: f"{disc}*y^-2"}
-            tau2 = {INCL_13: "0",
-                    INCL_23: f"{-4 * a * a}*y^-1 + {-3}*x*y + {9 * b}*x*y^-1 + {-6 * a}*x^2*y^-1"}
         else:
-            xi2 = {U1: f"{-3 * b}*x*z", U2: "x", U3: "x"}
-            tau2 = {INCL_13: "x^2*y^-1", INCL_23: "0"}
-        xi1 = {U1: "1", U2: "1", U3: "1"}
-        tau1 = {INCL_13: "0", INCL_23: "0"}
-        return [(xi1, tau1), (xi2, tau2)]
+            xi2 = {U1: f"{-3 * self.b}*x*z", U2: "x", U3: "x"}
+        return [{U1: "1", U2: "1", U3: "1"}, xi2]
 
     def obstruction_rep_strings(self):
         """The degree-one cocycle spanning the obstruction space, supported
@@ -131,10 +129,10 @@ def build(a, b) -> EllipticConfig:
     return EllipticConfig(a, b, poset, charts, restrictions)
 
 
-def build_context(cfg: EllipticConfig, d_start: int = 6, d_max: int = 24) -> EngineContext:
-    """Engine context with the configuration tables installed and certified."""
+def build_context(cfg: EllipticConfig, d_max: int = 24) -> EngineContext:
+    """Engine context in the configured bases, certified."""
     ctx = EngineContext.from_charts(
-        cfg.poset, cfg.charts, cfg.restrictions, d_start, d_max,
+        cfg.poset, cfg.charts, cfg.restrictions, d_max=d_max,
         preferred_reps=cfg.ext_basis_strings(),
         tangent_rep_strings=cfg.tangent_rep_strings(),
         obstruction_rep_strings=cfg.obstruction_rep_strings(),
@@ -186,12 +184,11 @@ _SLOT_TITLES = {
 
 
 def run_full_pipeline(cfg: EllipticConfig, hull_order: int = 4,
-                      d_start: int = 6, d_max: int = 24,
-                      full_complex: bool = False) -> Report:
+                      d_max: int = 24, full_complex: bool = False) -> Report:
     """The end-to-end computation: Ext^1 tables, cohomology bases, cup table,
     hull relations, and the validated exponential versal family."""
     t0 = time.perf_counter()
-    ctx = build_context(cfg, d_start, d_max)
+    ctx = build_context(cfg, d_max)
     hh = ctx.hh
     slots = cfg.poset.sorted_morphisms()
 
@@ -232,7 +229,7 @@ def run_full_pipeline(cfg: EllipticConfig, hull_order: int = 4,
         "schema": "ncdef/1",
         "input": {
             "a": str(cfg.a), "b": str(cfg.b),
-            "hull_order": hull_order, "d_start": d_start, "dmax": d_max,
+            "hull_order": hull_order, "d_start": D_START, "dmax": d_max,
             "full_complex": bool(full_complex),
         },
         "discriminant": str(cfg.discriminant),
@@ -269,14 +266,7 @@ def run_full_pipeline(cfg: EllipticConfig, hull_order: int = 4,
         }
 
     hull = ctx.hull_compute(hull_order)
-    payload["hull"] = {
-        "relations": hull.relation_strings(),
-        "new_relations_by_order": {
-            str(k): v for k, v in sorted(hull.new_relations_by_order.items())
-        },
-        "dims_by_radical_degree": hull.hull.radical_dims_by_order(),
-        "dim": hull.hull.dim,
-    }
+    payload["hull"] = hull.payload()
     payload["verdicts"]["hull_versal_zero_defect"] = hull.versal_defect.is_zero()
 
     exp_order = hull_order + 1

@@ -356,34 +356,26 @@ class EngineContext:
         return out
 
     @classmethod
-    def from_charts(cls, poset, charts, restrictions, d_start=6, d_max=24,
+    def from_charts(cls, poset, charts, restrictions, d_max=24,
                     preferred_reps=None, tangent_rep_strings=None,
                     obstruction_rep_strings=None) -> EngineContext:
+        """The context of a chart configuration. The optional tables only
+        choose bases: ``preferred_reps`` the Ext^1 representative monomials
+        per chart, ``tangent_rep_strings`` one per-chart class xi for each
+        basis vector of H^0, ``obstruction_rep_strings`` the per-inclusion
+        cocycle spanning H^1. The restriction corrections are always derived."""
         from .cokernels import build_ext_diagram, global_hochschild_dims
         from .diagrams import constant_functor
 
-        diagram = build_ext_diagram(poset, charts, restrictions, d_start, d_max,
-                                    preferred_reps)
+        diagram = build_ext_diagram(poset, charts, restrictions, d_max=d_max,
+                                    preferred_reps=preferred_reps)
         hh = global_hochschild_dims(diagram, constant_functor(poset))
         if tangent_rep_strings is not None:
-            reps = []
-            vecs = []
-            for xi_str, tau_str in tangent_rep_strings:
-                xi = {o: charts[o].algebra.normal_form(xi_str[o]) for o in poset.objects}
-                tau = {}
-                for name in [n for n in poset.sorted_morphisms() if not poset.is_identity(n)]:
-                    tgt = poset.morphisms[name].tgt
-                    tau[name] = charts[tgt].algebra.normal_form(tau_str[name])
-                reps.append((xi, tau))
-                vecs.append(_h0_vector(diagram, hh, xi))
-            hh.h0.set_representatives(vecs)
-        else:
-            reps = _derive_tangent_reps(diagram, hh)
-        ctx = cls(diagram, hh, reps)
+            hh.h0.set_representatives([_h0_vector(diagram, hh, xi)
+                                       for xi in tangent_rep_strings])
         if obstruction_rep_strings is not None:
-            vec = _h1_vector(diagram, hh, obstruction_rep_strings)
-            hh.h1.set_representatives([vec])
-        return ctx
+            hh.h1.set_representatives([_h1_vector(diagram, hh, obstruction_rep_strings)])
+        return cls(diagram, hh, _derive_tangent_reps(diagram, hh))
 
     # -- datum construction -------------------------------------------------------
 
@@ -477,21 +469,16 @@ class EngineContext:
 
     def kernel_components(self, te: TensorElement, surj: SmallSurjection) -> list[AlgebraElement]:
         """Write an A (x) K element as per-kernel-basis algebra coefficients."""
-        base = surj.source
         if te.is_zero():
             return [te.algebra.zero() for _ in surj.kernel_basis]
-        mat = surj.kernel_matrix
-        if mat is None:
+        if surj.kernel_matrix is None:
             raise UnsupportedDefect("nonzero defect with a zero kernel")
         by_monomial: dict[tuple, dict] = {}
         for (w, m), c in te.coeffs.items():
-            by_monomial.setdefault(m, {})[base.qindex[w]] = c
+            by_monomial.setdefault(m, {})[w] = c
         out = [{} for _ in surj.kernel_basis]
         for mono in sorted(by_monomial, key=lambda m: (te.algebra.degree(m), m)):
-            vec = [_ZERO] * base.dim
-            for k, c in by_monomial[mono].items():
-                vec[k] = c
-            x = solve(mat, vec)
+            x = surj.kernel_coordinates(MatricElement(surj.source, by_monomial[mono]))
             if x is None:
                 raise UnsupportedDefect("defect does not lie in A (x) K")
             for m_idx, c in enumerate(x):
@@ -842,6 +829,17 @@ class HullResult:
 
     def relation_strings(self) -> list[str]:
         return [str(r) for r in self.relations]
+
+    def payload(self) -> dict:
+        """The report's "hull" block."""
+        return {
+            "relations": self.relation_strings(),
+            "new_relations_by_order": {
+                str(k): v for k, v in sorted(self.new_relations_by_order.items())
+            },
+            "dims_by_radical_degree": self.hull.radical_dims_by_order(),
+            "dim": self.hull.dim,
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -332,7 +332,7 @@ def test_paper_h0_cocycles_close(cfg11, diagram11, cfg01, diagram01):
     for cfg, diagram in ((cfg11, diagram11), (cfg01, diagram01)):
         hh = global_hochschild_dims(diagram, constant_functor(cfg.poset))
         rc = hh.complex
-        for xi, _tau in cfg.tangent_rep_strings():
+        for xi in cfg.tangent_rep_strings():
             vec = [Fraction(0)] * rc.space_dims[0]
             for obj in cfg.poset.objects:
                 ck = diagram.cokernels[obj]

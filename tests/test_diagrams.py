@@ -14,7 +14,7 @@ from ncdef.diagrams import (
     constant_functor,
     direct_limit_dim,
 )
-from ncdef.linalg import Matrix
+from ncdef.linalg import Matrix, SubspaceReducer, image_basis, kernel_basis
 from ncdef.synthetic import random_hom_functor, random_poset, zero_functor
 
 
@@ -158,6 +158,54 @@ def test_class_coords_zero_exactly_on_coboundaries():
         v = [Fraction(rng.randint(-4, 4)) for _ in range(rc.space_dims[0])]
         coords = h1.class_coords(rc.differentials[0].apply(v))
         assert all(x == 0 for x in coords)
+
+
+def _greedy_representatives(rc, p):
+    """The reference: in the full cochain space, the kernel vectors of d_p,
+    in column order, that are independent of B^p and of those taken."""
+    red = SubspaceReducer(rc.space_dims[p])
+    if p:
+        for b in image_basis(rc.differentials[p - 1]):
+            red.add(b)
+    return [z for z in kernel_basis(rc.differentials[p]) if red.add(z)]
+
+
+def _class_plus_coboundary(rc, p, reps, coeffs, rng):
+    """sum_k coeffs[k] * reps[k] plus a random coboundary."""
+    vec = [Fraction(0)] * rc.space_dims[p]
+    for c, rep in zip(coeffs, reps):
+        vec = [v + c * e for v, e in zip(vec, rep)]
+    if p:
+        x = [Fraction(rng.randint(-3, 3)) for _ in range(rc.space_dims[p - 1])]
+        vec = [v + e for v, e in zip(vec, rc.differentials[p - 1].apply(x))]
+    return vec
+
+
+def test_cohomology_matches_full_space_greedy_reference():
+    rng = random.Random(1729)
+    dims = [0, 0]
+    for _ in range(20):
+        c = random_poset(rng)
+        rc = build_resolving_complex(c, random_hom_functor(c, rng), p_max=2)
+        for p in (0, 1):
+            h = rc.cohomology(p)
+            assert h.representatives == _greedy_representatives(rc, p)
+            dims[p] += h.dim
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(h.dim)]
+            vec = _class_plus_coboundary(rc, p, h.representatives, coeffs, rng)
+            assert h.class_coords(vec) == coeffs
+            # rebase on a unitriangular change of basis, shifted by coboundaries
+            reps = [
+                _class_plus_coboundary(rc, p, h.representatives, [
+                    1 if j == k else rng.randint(-2, 2) if j < k else 0
+                    for j in range(h.dim)
+                ], rng)
+                for k in range(h.dim)
+            ]
+            h.set_representatives(reps)
+            vec = _class_plus_coboundary(rc, p, reps, coeffs, rng)
+            assert h.class_coords(vec) == coeffs
+    assert min(dims) > 0
 
 
 def test_class_coords_rejects_non_cocycle():

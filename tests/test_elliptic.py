@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -38,16 +39,57 @@ def test_a_zero_branch_selected():
     assert cfg.ext_basis_strings()[U2] == ["1", "x"]
 
 
-def test_configured_tau_table_is_certified(ctx11):
-    # construction fails loudly unless d(tau) = rho(xi) - xi holds exactly;
-    # re-assert the identity here for the nontrivial slot
+def test_derived_tau_is_certified(ctx11):
+    # construction fails loudly unless the derived d(tau) = rho(xi) - xi
+    # holds exactly; re-assert the identity here for the nontrivial slot
     (xi1, tau1), (xi2, tau2) = ctx11.tangent_reps
-    A3 = ctx11.algebra_of(U3)
     d3 = ctx11.charts[U3].derivation
     rho23 = ctx11.restrictions[INCL_23]
     assert d3(tau2[INCL_23]) == rho23(xi2[U2]) - xi2[U3]
     assert tau2[INCL_13].is_zero()
     assert all(t.is_zero() for t in tau1.values())
+
+
+def _printed_tau(a, b):
+    """The paper's printed restriction corrections of the two tangent
+    classes, per inclusion."""
+    tau1 = {INCL_13: "0", INCL_23: "0"}
+    if a:
+        tau2 = {INCL_13: "0",
+                INCL_23: f"{-4 * a * a}*y^-1 + {-3}*x*y + {9 * b}*x*y^-1 + {-6 * a}*x^2*y^-1"}
+    else:
+        tau2 = {INCL_13: "x^2*y^-1", INCL_23: "0"}
+    return [tau1, tau2]
+
+
+def _seeded_rational(rng):
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+
+def _seeded_curves(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a = Fraction(0) if len(out) % 3 == 2 else _seeded_rational(rng)
+        b = _seeded_rational(rng)
+        if 4 * a**3 + 27 * b**2:
+            out.append((a, b))
+    return out
+
+
+@pytest.mark.parametrize("a, b", [(Fraction(1), Fraction(1)), (Fraction(0), Fraction(1))]
+                         + _seeded_curves(20261018, 3), ids=str)
+def test_derived_tau_and_xi_match_the_printed_tables(a, b):
+    # the engine derives tau from the configured H^0 classes; the paper's
+    # printed formulas are the oracle
+    cfg = elliptic.build(a, b)
+    ctx = elliptic.build_context(cfg)
+    for (xi, tau), printed_xi, printed_tau in zip(
+            ctx.tangent_reps, cfg.tangent_rep_strings(), _printed_tau(a, b)):
+        for obj, text in printed_xi.items():
+            assert xi[obj] == ctx.algebra_of(obj).normal_form(text)
+        for name, text in printed_tau.items():
+            assert tau[name] == ctx.target_algebra_of(name).normal_form(text)
 
 
 @pytest.mark.parametrize("ab", [(2, 3), (Fraction(1, 2), Fraction(-1, 3))])
