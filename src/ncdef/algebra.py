@@ -184,6 +184,8 @@ def buchberger(generators):
             continue  # coprime leading monomials: S-poly reduces to zero
         r = reduce_poly(s_polynomial(basis[i], basis[j]), basis)
         if r:
+            if not any(p_leading(r)[0]):
+                return [_monic(r)]  # a constant: the unit ideal, whose basis is {1}
             basis.append(_monic(r))
             pairs.extend((len(basis) - 1, k) for k in range(len(basis) - 1))
     # autoreduce
@@ -430,6 +432,27 @@ class PresentedAlgebra:
 
     def monomial_element(self, mono) -> AlgebraElement:
         return self.normal_form({tuple(mono): _ONE})
+
+    def generates_unit_ideal(self, elements) -> bool:
+        """Whether the elements generate the unit ideal of this algebra.
+
+        Decided by the reduced Groebner basis of the relations and the
+        elements in the polynomial ring; an inverted variable y enters
+        through one more variable w and the relation w*y - 1, so y^-k is w^k.
+        """
+        inv, n = self._inv_index, len(self.variables)
+
+        def lift(mono):
+            if inv < 0:
+                return mono
+            return tuple(max(e, 0) for e in mono) + (max(-mono[inv], 0),)
+
+        polys = [*self.relations, *(e.terms for e in elements)]
+        gens = [{lift(m): c for m, c in p.items()} for p in polys]
+        one = lift((0,) * n)
+        if inv >= 0:
+            gens.append({tuple(int(k in (inv, n)) for k in range(n + 1)): _ONE, one: -_ONE})
+        return buchberger(gens) == [{one: _ONE}]
 
     def format_monomial(self, mono) -> str:
         parts = [

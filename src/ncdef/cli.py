@@ -4,7 +4,8 @@ Subcommands: `elliptic` runs the full pipeline for one (a, b); `cohomology`
 computes resolving-complex cohomology of a serialized diagram functor;
 `hull` runs the obstruction calculus from a serialized configuration;
 `selftest` runs the property suite. Exit codes: 0 success, 1 domain errors
-(singular curve, failed stabilization, malformed inputs), 2 usage errors.
+(singular curve, failed stabilization, malformed inputs, charts that break
+a hypothesis of the calculus), 2 usage errors.
 Only the package's typed domain and input errors exit 1; any other
 exception is a bug and propagates.
 """
@@ -17,6 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
+from .algebra import AlgebraError
 from .cokernels import NoStabilization
 from .report import Report
 
@@ -136,15 +138,16 @@ def _cmd_cohomology(args) -> int:
     run = {}
     for p in range(args.p_max):
         h = rc.cohomology(p)
+        # the slot and label of every coordinate, in layout order
+        owner = [("|".join(t), lbl) for t, labels, _off in rc.slot_layout(p)
+                 for lbl in labels]
         reps = []
         for vec in h.representatives:
             slots = {}
-            for t, labels, off in rc.slot_layout(p):
-                coords = vec[off: off + len(labels)]
-                if any(c != 0 for c in coords):
-                    slots["|".join(t)] = {
-                        lbl: str(c) for lbl, c in zip(labels, coords) if c
-                    }
+            for i, c in enumerate(vec):
+                if c:
+                    slot, lbl = owner[i]
+                    slots.setdefault(slot, {})[lbl] = str(c)
             reps.append(slots)
         run[str(p)] = {"dim": h.dim, "representatives": reps}
     payload = {
@@ -157,51 +160,22 @@ def _cmd_cohomology(args) -> int:
     return 0
 
 
-class InputError(ValueError):
-    """A configuration file that does not follow its schema."""
-
-
-def _read_hull_config(path) -> tuple[Fraction, Fraction, int, int]:
-    """(a, b, dmax, hull_order) from an ncdef-hull/1 configuration file."""
-    with open(path, encoding="utf-8") as fh:
-        config = json.load(fh)
-    if not isinstance(config, dict):
-        raise InputError("hull configuration is not a JSON object")
-    if config.get("schema") != "ncdef-hull/1":
-        raise InputError(f"expected schema 'ncdef-hull/1', got {config.get('schema')!r}")
-    if config.get("kind") != "elliptic":
-        raise InputError(f"unsupported configuration kind {config.get('kind')!r}")
-    try:
-        return (Fraction(config["a"]), Fraction(config["b"]),
-                int(config.get("dmax", 24)), int(config.get("hull_order", 4)))
-    except KeyError as exc:
-        raise InputError(f"hull configuration has no entry {exc}") from exc
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad hull configuration entry: {exc}") from exc
-
-
 def _cmd_hull(args) -> int:
     from . import elliptic
+    from .diagram_io import Curve, elliptic_coefficients, load_hull_config
 
-    a, b, dmax, hull_order = _read_hull_config(args.config)
+    config, hull_order, dmax = load_hull_config(args.config)
     t0 = time.perf_counter()
-    cfg = elliptic.build(a, b)
-    ctx = elliptic.build_context(cfg, d_max=dmax)
-    result = ctx.hull_compute(hull_order)
-    payload = {
-        "schema": "ncdef/1",
-        "input": {
-            "a": str(cfg.a), "b": str(cfg.b),
-            "hull_order": result.order,
-            "dmax": dmax,
-        },
-        "discriminant": str(cfg.discriminant),
-        "regime": cfg.regime,
-        "hull": result.payload(),
-        "verdicts": {
-            "hull_versal_zero_defect": result.versal_defect.is_zero()
-        },
-    }
+    is_elliptic = config["kind"] == "elliptic"
+    curve = elliptic.build(*elliptic_coefficients(config)) if is_elliptic else Curve(config)
+    result = elliptic.build_context(curve, d_max=dmax).hull_compute(hull_order)
+    payload = {"schema": "ncdef/1", "input": {"hull_order": result.order, "dmax": dmax}}
+    if is_elliptic:
+        payload["input"] = {"a": str(curve.a), "b": str(curve.b), **payload["input"]}
+        payload["discriminant"] = str(curve.discriminant)
+        payload["regime"] = curve.regime
+    payload["hull"] = result.payload()
+    payload["verdicts"] = {"hull_versal_zero_defect": result.versal_defect.is_zero()}
     _emit(Report(payload, elapsed=time.perf_counter() - t0), args.format, args.out)
     return 0
 
@@ -225,15 +199,15 @@ def main(argv=None) -> int:
         "hull": _cmd_hull,
         "selftest": _cmd_selftest,
     }
-    from .diagram_io import DiagramFormatError
-    from .diagrams import CategoryError
+    from .diagram_io import InputError
+    from .diagrams import CategoryError, CocycleError
     from .elliptic import SingularCurve
     from .engine import EngineError
 
     try:
         return handlers[args.command](args)
-    except (SingularCurve, NoStabilization, EngineError, CategoryError,
-            DiagramFormatError, InputError, OSError, json.JSONDecodeError,
+    except (SingularCurve, NoStabilization, EngineError, CategoryError, CocycleError,
+            AlgebraError, InputError, OSError, json.JSONDecodeError,
             UnicodeDecodeError) as exc:
         print(f"ncdef: {exc}", file=sys.stderr)
         return 1

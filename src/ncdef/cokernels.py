@@ -54,12 +54,28 @@ class CertificationError(RuntimeError):
     """An exact self-check of the cokernel computation failed."""
 
 
+class TangentNotGenerated(AlgebraError):
+    """A chart derivation that does not generate the chart's tangent module."""
+
+
 class ChartData:
-    """One affine chart: coordinate ring, its distinguished derivation, label."""
+    """One affine chart: coordinate ring, its distinguished derivation, label.
+
+    The calculus needs the derivation to generate the tangent module, that
+    is to vanish nowhere on the chart: the relations and the images
+    d(x_1), ..., d(x_n) of the generators must generate the unit ideal.
+    Construction certifies it and raises TangentNotGenerated otherwise.
+    """
 
     def __init__(self, label: str, algebra: PresentedAlgebra, derivation: Derivation):
         if derivation.algebra is not algebra:
             raise AlgebraError("derivation does not act on the chart algebra")
+        if not algebra.generates_unit_ideal(derivation.images.values()):
+            raise TangentNotGenerated(
+                f"chart {label}: derivation does not generate the tangent module "
+                "(the relations and the derivation's generator images do not "
+                "generate the unit ideal)"
+            )
         self.label = label
         self.algebra = algebra
         self.derivation = derivation

@@ -1,10 +1,15 @@
-"""JSON interchange for diagram functors on cover posets.
+"""JSON interchange: diagram functors and chart configurations.
 
 Schema "ncdef-diagram/1": objects, non-identity morphisms as source/target
 pairs (the poset closure must already be listed), one value space per
 morphism (identity slots keyed "id:<object>", inclusions "<src>><tgt>"),
 and one matrix per morphism-category arrow, row-major with rational-string
 entries. The loader rebuilds the functor and re-verifies functoriality.
+
+Schema "ncdef-hull/1" configures ``ncdef hull``: kind "elliptic" names a
+plane cubic by (a, b), kind "curve" lists its charts, and ``Curve`` is the
+one path from a chart list to the engine. Schema violations raise
+InputError; the algebra raises its own typed errors for broken hypotheses.
 """
 
 from __future__ import annotations
@@ -12,14 +17,17 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+from .algebra import AlgebraMorphism, Derivation, PresentedAlgebra
+from .cokernels import ChartData
 from .diagrams import FiniteCategory, MorFunctor
 from .linalg import Matrix
 
 SCHEMA = "ncdef-diagram/1"
+HULL_SCHEMA = "ncdef-hull/1"
 
 
-class DiagramFormatError(ValueError):
-    pass
+class InputError(ValueError):
+    """A serialized input that does not follow its schema."""
 
 
 def functor_to_dict(base: FiniteCategory, functor: MorFunctor) -> dict:
@@ -64,12 +72,12 @@ def functor_to_dict(base: FiniteCategory, functor: MorFunctor) -> dict:
 def functor_from_dict(data: dict) -> tuple[FiniteCategory, MorFunctor]:
     try:
         base, dims, mats, labels = _parse(data)
-    except DiagramFormatError:
+    except InputError:
         raise
     except (AttributeError, LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
         # _parse reads only the document: a missing key, a value of the wrong
         # JSON type or an unparsable entry lands here
-        raise DiagramFormatError(f"malformed diagram ({type(exc).__name__}: {exc})") from exc
+        raise InputError(f"malformed diagram ({type(exc).__name__}: {exc})") from exc
     functor = MorFunctor(base, dims, mats, labels)
     functor.check_functor()
     return base, functor
@@ -77,7 +85,7 @@ def functor_from_dict(data: dict) -> tuple[FiniteCategory, MorFunctor]:
 
 def _parse(data: dict) -> tuple[FiniteCategory, dict, dict, dict]:
     if data.get("schema") != SCHEMA:
-        raise DiagramFormatError(
+        raise InputError(
             f"expected schema {SCHEMA!r}, got {data.get('schema')!r}"
         )
     objects = data["objects"]
@@ -85,7 +93,7 @@ def _parse(data: dict) -> tuple[FiniteCategory, dict, dict, dict]:
     base = FiniteCategory.poset(objects, relations)
     for name in base.morphisms:
         if name not in data["values"]:
-            raise DiagramFormatError(f"no value space for morphism {name!r}")
+            raise InputError(f"no value space for morphism {name!r}")
     dims = {name: int(v["dim"]) for name, v in data["values"].items()}
     labels = {}
     for name, v in data["values"].items():
@@ -101,7 +109,7 @@ def _parse(data: dict) -> tuple[FiniteCategory, dict, dict, dict]:
         g = base.compose(alpha, base.compose(f, beta))
         lines = entry["matrix"]
         if len(lines) != dims[g] or any(len(line) != dims[f] for line in lines):
-            raise DiagramFormatError(
+            raise InputError(
                 f"matrix for ({f},{alpha},{beta}) has the wrong shape"
             )
         rows = []
@@ -115,7 +123,7 @@ def _parse(data: dict) -> tuple[FiniteCategory, dict, dict, dict]:
         mats[(f, alpha, beta)] = Matrix.from_sparse(dims[g], dims[f], rows)
     for (f, alpha, beta, _g) in base.mor_arrows():
         if (f, alpha, beta) not in mats:
-            raise DiagramFormatError(f"missing matrix for arrow ({f},{alpha},{beta})")
+            raise InputError(f"missing matrix for arrow ({f},{alpha},{beta})")
     return base, dims, mats, labels
 
 
@@ -128,3 +136,111 @@ def dump_functor(base: FiniteCategory, functor: MorFunctor, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(functor_to_dict(base, functor), fh, indent=2)
         fh.write("\n")
+
+
+# ---------------------------------------------------------------------------
+# chart configurations (schema ncdef-hull/1)
+
+
+def load_hull_config(path) -> tuple[dict, int, int]:
+    """An ncdef-hull/1 document with its hull order and dmax (defaults 4, 24)."""
+    with open(path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise InputError("hull configuration is not a JSON object")
+    if config.get("schema") != HULL_SCHEMA:
+        raise InputError(f"expected schema {HULL_SCHEMA!r}, got {config.get('schema')!r}")
+    if config.get("kind") not in ("elliptic", "curve"):
+        raise InputError(f"unsupported configuration kind {config.get('kind')!r}")
+    limits = [config.get("hull_order", 4), config.get("dmax", 24)]
+    for key, value in zip(("hull_order", "dmax"), limits):
+        if type(value) is not int:  # a float would be truncated, a bool read as 0 or 1
+            raise InputError(f"{key} must be an integer, got {value!r}")
+    return config, limits[0], limits[1]
+
+
+def elliptic_coefficients(config: dict) -> tuple[Fraction, Fraction]:
+    """(a, b) of a kind "elliptic" document, as rational strings or integers."""
+    for key in ("a", "b"):
+        if key not in config:
+            raise InputError(f"hull configuration has no entry {key!r}")
+        if type(config[key]) not in (str, int):
+            raise InputError(f"bad hull configuration entry: {key} is not a rational string")
+    try:
+        return Fraction(config["a"]), Fraction(config["b"])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad hull configuration entry: {exc}") from exc
+
+
+class Curve:
+    """A chart configuration loaded from a kind "curve" document: the cover
+    ``poset`` on the charts, one ChartData per chart in ``charts``, one
+    AlgebraMorphism per arrow "A>B" in ``restrictions``, and the optional
+    basis choices that ``EngineContext.from_charts`` certifies (None when
+    absent): ``ext1`` monomials per chart, ``h0`` classes (an element per
+    chart) and the ``h1`` cocycle (an element per arrow)."""
+
+    def __init__(self, data: dict):
+        self.charts, self.restrictions = {}, {}
+        for label, chart in _get(data, "charts", dict, "configuration").items():
+            where = f"chart {label!r}"
+            algebra = PresentedAlgebra(
+                _strings(_get(chart, "variables", list, where), where),
+                _strings(_get(chart, "relations", list, where, []), where),
+                inverted=_get(chart, "inverted", str, where, None), name=label)
+            images = _images(_get(chart, "derivation", dict, where), algebra.variables, where)
+            derivation = Derivation(algebra, images, name=f"d_{label}")
+            self.charts[label] = ChartData(label, algebra, derivation)
+        for name, images in _get(data, "restrictions", dict, "configuration").items():
+            src, _, tgt = name.partition(">")
+            if src not in self.charts or tgt not in self.charts or src == tgt:
+                raise InputError(f"restriction {name!r} is not an arrow 'A>B' between two charts")
+            source = self.charts[src].algebra
+            images = _images(images, source.variables, f"restriction {name!r}")
+            self.restrictions[name] = AlgebraMorphism(source, self.charts[tgt].algebra,
+                                                      images, name=name)
+        arrows = [tuple(name.split(">")) for name in self.restrictions]
+        self.poset = FiniteCategory.poset(list(self.charts), arrows)
+        bases = _get(data, "bases", dict, "configuration", {})
+        self.ext1 = _get(bases, "ext1", dict, "bases", None)
+        self.h0 = _get(bases, "h0", list, "bases", None)
+        self.h1 = _get(bases, "h1", dict, "bases", None)
+        for label, monomials in (self.ext1 or {}).items():
+            if label not in self.charts:
+                raise InputError(f"bases ext1 names no chart {label!r}")
+            _strings(monomials, "bases ext1")
+        for xi in self.h0 or []:
+            _images(xi, self.charts, "bases h0")
+        if self.h1 is not None:
+            _images(self.h1, self.restrictions, "bases h1")
+
+
+_REQUIRED = object()
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _get(entry, key: str, kind: type, where: str, default=_REQUIRED):
+    """entry[key], checked to be of Python type `kind`; default when absent."""
+    if not isinstance(entry, dict):
+        raise InputError(f"{where} is not a JSON object")
+    if key not in entry:
+        if default is _REQUIRED:
+            raise InputError(f"{where} has no entry {key!r}")
+        return default
+    if not isinstance(entry[key], kind):
+        raise InputError(f"{where}: entry {key!r} is not {_JSON_TYPES[kind]}")
+    return entry[key]
+
+
+def _strings(value, where: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise InputError(f"{where}: expected a list of strings")
+    return value
+
+
+def _images(value, keys, where: str) -> dict:
+    """A JSON object mapping exactly `keys` to expression strings."""
+    if (not isinstance(value, dict) or sorted(value) != sorted(keys)
+            or not all(isinstance(s, str) for s in value.values())):
+        raise InputError(f"{where}: expected an expression string for each of {list(keys)}")
+    return value

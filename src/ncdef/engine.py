@@ -618,13 +618,11 @@ class EngineContext:
         a_gens = list(length2)
         relations: list[MatricElement] = []
         new_by_order: dict[int, list[str]] = {}
-        log = []
         H = quotient(free, a_gens, name="H2")
         datum = self.first_order_datum(H)
         defect = self.validate(datum)
         if not defect.is_zero():
             raise EngineError("the first-order datum fails to validate")
-        log.append({"order": 2, "dim": H.dim, "new_relations": []})
         for n in range(2, max_order):
             b_gens = []
             for g in a_gens:
@@ -665,9 +663,7 @@ class EngineContext:
             a_gens = a_next
             relations = _merge_relations(relations, rels)
             new_by_order[n + 1] = [str(rel) for rel in fresh]
-            log.append({"order": n + 1, "dim": H.dim,
-                        "new_relations": [str(x) for x in fresh]})
-        return HullResult(max_order, H, relations, new_by_order, datum, defect, log)
+        return HullResult(max_order, H, relations, new_by_order, datum, defect)
 
     # -- the tangent dimension check ---------------------------------------------------------
 
@@ -814,18 +810,16 @@ class EngineContext:
 class HullResult:
     """Output of the hull loop: the truncated hull algebra, its relation
     generators (with first-appearance bookkeeping), the validated versal
-    datum with the defect cochain its final validation produced, and the
-    per-order log."""
+    datum with the defect cochain its final validation produced."""
 
     def __init__(self, order, hull, relations, new_by_order, versal_datum,
-                 versal_defect, log):
+                 versal_defect):
         self.order = order
         self.hull = hull
         self.relations = relations
         self.new_relations_by_order = new_by_order
         self.versal_datum = versal_datum
         self.versal_defect = versal_defect
-        self.log = log
 
     def relation_strings(self) -> list[str]:
         return [str(r) for r in self.relations]

@@ -348,21 +348,8 @@ class MatricArtin:
         return True
 
 
-def make_test_algebra(p: int, i: int, j: int) -> MatricArtin:
-    """k^p[eps_ij]: the p+1 dimensional square-zero pointing test object."""
-    if not (1 <= i <= p and 1 <= j <= p):
-        raise MatricError(f"({i},{j}) out of range for p={p}")
-    gens = MatricGeneratorSet(p, [("eps", i, j)])
-    free = MatricTruncatedFree(gens, truncation=2)
-    return MatricArtin(free, [], name=f"k^{p}[eps_{i}{j}]")
-
-
 def quotient(free: MatricTruncatedFree, ideal_generators, name="R") -> MatricArtin:
     return MatricArtin(free, ideal_generators, name=name)
-
-
-def radical_power(R: MatricArtin, n: int) -> list[MatricElement]:
-    return R.radical_basis(n)
 
 
 def commutativization(R: MatricArtin) -> MatricArtin:

@@ -23,13 +23,12 @@ class Report:
         lines = ["# ncdef report", ""]
         if "input" in p:
             inp = p["input"]
+            curve = f"a = {inp['a']}, b = {inp['b']}, " if "a" in inp else ""
             lines.append(
-                f"Input: a = {inp['a']}, b = {inp['b']}, "
-                f"hull order {inp['hull_order']}, dmax {inp['dmax']}."
+                f"Input: {curve}hull order {inp['hull_order']}, dmax {inp['dmax']}."
             )
-            lines.append(
-                f"Discriminant {p['discriminant']} ({p['regime']} regime)."
-            )
+            if "discriminant" in p:
+                lines.append(f"Discriminant {p['discriminant']} ({p['regime']} regime).")
             lines.append("")
         if "ext1_bases" in p:
             lines.append("## Ext^1 bases (cokernel representatives)")

@@ -102,7 +102,7 @@ def suite_cokernel_stability(a=1, b=1, seed=17):
 
     rng = random.Random(seed)
     cfg = elliptic.build(a, b)
-    pref = cfg.ext_basis_strings()
+    pref = cfg.ext1
     for obj, chart in cfg.charts.items():
         ck = cokernel_of_derivation(chart.algebra, chart.derivation, 6, 24, pref[obj])
         ck2 = cokernel_of_derivation(chart.algebra, chart.derivation,

@@ -45,7 +45,7 @@ def test_criterion_1_ext1_table_a_nonzero(ctx11):
 def test_criterion_2_ext1_table_a_zero(ctx01):
     sizes = {obj: ctx01.diagram.cokernels[obj].size for obj in (U1, U2, U3)}
     assert sizes == {U1: 4, U2: 2, U3: 5}
-    tables = elliptic.build(0, 1).ext_basis_strings()
+    tables = elliptic.build(0, 1).ext1
     for obj, monomials in tables.items():
         ck = ctx01.diagram.cokernels[obj]
         for i, mono in enumerate(monomials):

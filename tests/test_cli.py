@@ -7,6 +7,7 @@ import pytest
 from ncdef.cli import main
 
 DOCS_DIAGRAM = Path(__file__).resolve().parents[1] / "docs" / "examples" / "elliptic_a1_b1_ext1.json"
+DOCS_CURVE = DOCS_DIAGRAM.with_name("elliptic_a1_b1_curve.json")
 
 
 def run_cli(args, capsys):
@@ -86,7 +87,7 @@ def test_worked_export_is_current(tmp_path):
 
     cfg = elliptic.build(1, 1)
     diagram = build_ext_diagram(cfg.poset, cfg.charts, cfg.restrictions,
-                                preferred_reps=cfg.ext_basis_strings())
+                                preferred_reps=cfg.ext1)
     fresh = tmp_path / "fresh.json"
     dump_functor(cfg.poset, diagram.functor, fresh)
     assert fresh.read_text() == DOCS_DIAGRAM.read_text()
@@ -103,6 +104,92 @@ def test_hull_subcommand(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["hull"]["relations"] == ["t1*t2 - t2*t1"]
     assert payload["verdicts"]["hull_versal_zero_defect"] is True
+
+
+def test_shipped_curve_config_is_current():
+    # the docs example is the configuration elliptic emits at (1, 1)
+    from ncdef import elliptic
+
+    text = json.dumps(elliptic.curve_config(1, 1), indent=2) + "\n"
+    assert text == DOCS_CURVE.read_text()
+
+
+def test_curve_config_runs_like_the_elliptic_kind(capsys, tmp_path):
+    elliptic_config = tmp_path / "elliptic.json"
+    elliptic_config.write_text(json.dumps({"schema": "ncdef-hull/1", "kind": "elliptic",
+                                           "a": "1", "b": "1"}))
+    payloads = []
+    for config in (elliptic_config, DOCS_CURVE):
+        code, out, err = run_cli(["hull", str(config), "--format", "json"], capsys)
+        assert code == 0, err
+        payloads.append(json.loads(out))
+    by_kind, by_charts = payloads
+    assert by_charts["input"] == {"hull_order": 4, "dmax": 24}
+    assert by_charts["hull"] == by_kind["hull"]
+    assert by_charts["verdicts"] == by_kind["verdicts"]
+    code, out, _err = run_cli(["hull", str(DOCS_CURVE)], capsys)
+    assert code == 0
+    assert "Input: hull order 4, dmax 24." in out
+
+
+P1_CONFIG = {
+    "schema": "ncdef-hull/1", "kind": "curve",
+    "charts": {"U1": {"variables": ["x"], "derivation": {"x": "1"}},
+               "U2": {"variables": ["u"], "derivation": {"u": "-u^2"}},
+               "U3": {"variables": ["x"], "inverted": "x", "derivation": {"x": "1"}}},
+    "restrictions": {"U1>U3": {"x": "x"}, "U2>U3": {"u": "x^-1"}},
+}
+
+
+def test_hull_rejects_p1_with_a_vanishing_derivation(capsys, tmp_path):
+    config = tmp_path / "p1.json"
+    config.write_text(json.dumps(P1_CONFIG))
+    code, out, err = run_cli(["hull", str(config)], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("ncdef: chart U2: derivation does not generate the tangent module "
+                   "(the relations and the derivation's generator images do not "
+                   "generate the unit ideal)\n")
+
+
+def _curve(edit):
+    config = json.loads(DOCS_CURVE.read_text())
+    edit(config)
+    return config
+
+
+def _chain(config):
+    # three copies of Q[x] with d/dx on a chain; the composite U1>U3 is left out
+    chart = {"variables": ["x"], "derivation": {"x": "1"}}
+    config["charts"] = {"U1": chart, "U2": chart, "U3": chart}
+    config["restrictions"] = {"U1>U2": {"x": "x"}, "U2>U3": {"x": "x"}}
+    del config["bases"]
+
+
+@pytest.mark.parametrize("config, message", [
+    (_curve(lambda c: c.pop("restrictions")), "configuration has no entry 'restrictions'"),
+    (_curve(lambda c: c["charts"]["U2"].pop("variables")),
+     "chart 'U2' has no entry 'variables'"),
+    (_curve(lambda c: c["charts"]["U2"]["relations"].__setitem__(0, "y^2 - w^3")),
+     "variable 'w' not declared"),
+    (_curve(lambda c: c["restrictions"]["U2>U3"].__setitem__("y", "-y")),
+     "restriction U2>U3 does not intertwine the derivations"),
+    (_curve(_chain), "no restriction morphism supplied for U1>U3"),
+    (_curve(lambda c: c.__setitem__("hull_order", 3.9)), "hull_order must be an integer, got 3.9"),
+    (_curve(lambda c: c.__setitem__("dmax", 24.7)), "dmax must be an integer, got 24.7"),
+    ({"schema": "ncdef-hull/1", "kind": "elliptic", "a": "1", "b": "1", "hull_order": 3.9},
+     "hull_order must be an integer, got 3.9"),
+    ({"schema": "ncdef-hull/1", "kind": "elliptic", "a": "1", "b": "1", "hull_order": True},
+     "hull_order must be an integer, got True"),
+    ({"schema": "ncdef-hull/1", "kind": "elliptic", "a": 0.5, "b": "1"},
+     "bad hull configuration entry: a is not a rational string"),
+])
+def test_malformed_curve_configs_exit_one(capsys, tmp_path, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(["hull", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("ncdef: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_hull_subcommand_rejects_bad_order(capsys, tmp_path):

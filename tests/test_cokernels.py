@@ -23,7 +23,7 @@ from ncdef.linalg import Matrix
 
 def coker(cfg, chart, d_start=6, d_max=24, preferred=True):
     c = cfg.charts[chart]
-    pref = cfg.ext_basis_strings()[chart] if preferred else ()
+    pref = cfg.ext1[chart] if preferred else ()
     return cokernel_of_derivation(c.algebra, c.derivation, d_start, d_max, pref)
 
 
@@ -44,13 +44,13 @@ def cfg01():
 @pytest.fixture(scope="module")
 def diagram11(cfg11):
     return build_ext_diagram(cfg11.poset, cfg11.charts, cfg11.restrictions,
-                             preferred_reps=cfg11.ext_basis_strings())
+                             preferred_reps=cfg11.ext1)
 
 
 @pytest.fixture(scope="module")
 def diagram01(cfg01):
     return build_ext_diagram(cfg01.poset, cfg01.charts, cfg01.restrictions,
-                             preferred_reps=cfg01.ext_basis_strings())
+                             preferred_reps=cfg01.ext1)
 
 
 def test_singular_curve_rejected():
@@ -217,7 +217,7 @@ if not sys.flags.optimize:
 cfg = elliptic.build(1, 1)
 chart = cfg.charts["U3"]
 ck = cokernels.cokernel_of_derivation(chart.algebra, chart.derivation,
-                                      preferred=cfg.ext_basis_strings()["U3"])
+                                      preferred=cfg.ext1["U3"])
 ck.reduce("15*y^2")
 honest = cokernels.solve
 
@@ -332,7 +332,7 @@ def test_paper_h0_cocycles_close(cfg11, diagram11, cfg01, diagram01):
     for cfg, diagram in ((cfg11, diagram11), (cfg01, diagram01)):
         hh = global_hochschild_dims(diagram, constant_functor(cfg.poset))
         rc = hh.complex
-        for xi in cfg.tangent_rep_strings():
+        for xi in cfg.h0:
             vec = [Fraction(0)] * rc.space_dims[0]
             for obj in cfg.poset.objects:
                 ck = diagram.cokernels[obj]

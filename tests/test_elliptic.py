@@ -30,13 +30,45 @@ def test_build_rejects_singular_curves():
 def test_build_accepts_rational_parameters():
     cfg = elliptic.build(Fraction(1, 2), Fraction(-1, 3))
     assert cfg.discriminant == Fraction(1, 2) + Fraction(3)  # 4/8 + 27/9
-    assert not cfg.a_is_zero
+    assert cfg.regime == "a!=0"
+
+
+def test_tangent_guard_accepts_seeded_curves_in_both_regimes():
+    # every chart of every nonsingular cubic vanishes nowhere: the guard in
+    # ChartData accepts them, with a = 0 on every fourth draw
+    rng = random.Random(11)
+    built = 0
+    for k in range(12):
+        a = Fraction(0) if k % 4 == 0 else Fraction(rng.randint(-19, 19), rng.randint(1, 19))
+        b = Fraction(rng.randint(-19, 19), rng.randint(1, 19))
+        if 4 * a**3 + 27 * b**2 == 0:
+            continue
+        for chart in elliptic.build(a, b).charts.values():
+            assert chart.algebra.generates_unit_ideal(chart.derivation.images.values())
+        built += 1
+    assert built >= 10
+
+
+def test_tangent_guard_rejects_vanishing_derivations():
+    from ncdef.algebra import Derivation, PresentedAlgebra
+    from ncdef.cokernels import ChartData, TangentNotGenerated
+
+    # the cusp y^2 = x^3: its derivation vanishes at the singular point
+    cusp = PresentedAlgebra(["x", "y"], ["y^2 - x^3"], name="cusp")
+    with pytest.raises(TangentNotGenerated):
+        ChartData("C", cusp, Derivation(cusp, {"x": "-2*y", "y": "-3*x^2"}))
+    # x^2 d/dx vanishes at 0 on Q[x], but x^2 is a unit once x is inverted
+    line = PresentedAlgebra(["x"], name="line")
+    with pytest.raises(TangentNotGenerated):
+        ChartData("L", line, Derivation(line, {"x": "x^2"}))
+    punctured = PresentedAlgebra(["x"], inverted="x", name="punctured")
+    ChartData("P", punctured, Derivation(punctured, {"x": "x^2"}))
 
 
 def test_a_zero_branch_selected():
     cfg = elliptic.build(0, 1)
-    assert cfg.a_is_zero
-    assert cfg.ext_basis_strings()[U2] == ["1", "x"]
+    assert cfg.regime == "a=0"
+    assert cfg.ext1[U2] == ["1", "x"]
 
 
 def test_derived_tau_is_certified(ctx11):
@@ -85,7 +117,7 @@ def test_derived_tau_and_xi_match_the_printed_tables(a, b):
     cfg = elliptic.build(a, b)
     ctx = elliptic.build_context(cfg)
     for (xi, tau), printed_xi, printed_tau in zip(
-            ctx.tangent_reps, cfg.tangent_rep_strings(), _printed_tau(a, b)):
+            ctx.tangent_reps, cfg.h0, _printed_tau(a, b)):
         for obj, text in printed_xi.items():
             assert xi[obj] == ctx.algebra_of(obj).normal_form(text)
         for name, text in printed_tau.items():
@@ -106,7 +138,7 @@ def test_omega_is_a_nonzero_class_in_both_regimes():
     for a, b in ((1, 1), (0, 1)):
         cfg = elliptic.build(a, b)
         ctx = elliptic.build_context(cfg)
-        vec = _h1_vector(ctx.diagram, ctx.hh, cfg.obstruction_rep_strings())
+        vec = _h1_vector(ctx.diagram, ctx.hh, cfg.h1)
         coords = ctx.hh.h1.class_coords(vec)
         assert coords == [1]  # omega is the installed basis vector itself
 

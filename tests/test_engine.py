@@ -19,9 +19,9 @@ def make_context(a, b):
     cfg = elliptic.build(a, b)
     return EngineContext.from_charts(
         cfg.poset, cfg.charts, cfg.restrictions,
-        preferred_reps=cfg.ext_basis_strings(),
-        tangent_rep_strings=cfg.tangent_rep_strings(),
-        obstruction_rep_strings=cfg.obstruction_rep_strings(),
+        preferred_reps=cfg.ext1,
+        tangent_rep_strings=cfg.h0,
+        obstruction_rep_strings=cfg.h1,
     )
 
 
@@ -276,7 +276,7 @@ def test_hull_independent_of_representative_choices(a, b):
     # de Rham's (1, 2, 1) and the hull relation is still the commutator: a
     # linear change of tangent basis only rescales it
     cfg = elliptic.build(a, b)
-    for preferred in (cfg.ext_basis_strings(), None):
+    for preferred in (cfg.ext1, None):
         ctx = EngineContext.from_charts(
             cfg.poset, cfg.charts, cfg.restrictions, preferred_reps=preferred,
         )
@@ -311,7 +311,7 @@ def test_unobstructed_synthetic_hull_is_free():
     poset = FiniteCategory.poset([U2, U3], [(U2, U3)])
     charts = {U2: cfg.charts[U2], U3: cfg.charts[U3]}
     restrictions = {INCL_23: cfg.restrictions[INCL_23]}
-    pref = cfg.ext_basis_strings()
+    pref = cfg.ext1
     ctx = EngineContext.from_charts(
         poset, charts, restrictions,
         preferred_reps={U2: pref[U2], U3: pref[U3]},
@@ -500,10 +500,34 @@ def test_tangent_dimension_stable_under_cover_refinement():
         "U1>U4": cfg.restrictions[INCL_13].compose(ident),
         "U2>U4": cfg.restrictions[INCL_23].compose(ident),
     }
-    pref = cfg.ext_basis_strings()
+    pref = cfg.ext1
     ctx = EngineContext.from_charts(
         poset, charts, restrictions,
         preferred_reps={**pref, "U4": pref[U3]},
     )
     assert ctx.hh.h0.dim == 2
     assert ctx.tangent_dimension_check() == 2
+
+
+def test_p1_chart_whose_derivation_vanishes_is_rejected():
+    # P^1 glued from Q[x] with d/dx and Q[u] with -u^2 d/du over Q[x, x^-1]:
+    # u -> x^-1 intertwines the derivations exactly, but -u^2 d/du vanishes
+    # at u = 0, where the engine would report HH = (1, 1, 0) instead of the
+    # de Rham (1, 0, 1)
+    from ncdef.algebra import AlgebraMorphism, Derivation, PresentedAlgebra
+    from ncdef.cokernels import ChartData, TangentNotGenerated
+    from ncdef.diagrams import FiniteCategory
+
+    line = PresentedAlgebra(["x"], name="Q[x]")
+    dual = PresentedAlgebra(["u"], name="Q[u]")
+    overlap = PresentedAlgebra(["x"], inverted="x", name="Q[x, x^-1]")
+    poset = FiniteCategory.poset(["U1", "U2", "U3"], [("U1", "U3"), ("U2", "U3")])
+    restrictions = {"U1>U3": AlgebraMorphism(line, overlap, {"x": "x"}),
+                    "U2>U3": AlgebraMorphism(dual, overlap, {"u": "x^-1"})}
+    with pytest.raises(TangentNotGenerated,
+                       match="chart U2: derivation does not generate the tangent module"):
+        EngineContext.from_charts(poset, {
+            "U1": ChartData("U1", line, Derivation(line, {"x": "1"})),
+            "U2": ChartData("U2", dual, Derivation(dual, {"u": "-u^2"})),
+            "U3": ChartData("U3", overlap, Derivation(overlap, {"x": "1"})),
+        }, restrictions)

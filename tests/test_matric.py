@@ -4,15 +4,14 @@ from fractions import Fraction
 import pytest
 
 from ncdef.matric import (
+    MatricArtin,
     MatricError,
     MatricGeneratorSet,
     MatricMorphism,
     MatricTruncatedFree,
     SmallSurjection,
     commutativization,
-    make_test_algebra,
     quotient,
-    radical_power,
 )
 
 
@@ -25,6 +24,13 @@ def two_var_free(N):
 
 
 # --- test objects k^p[eps_ij] -------------------------------------------------
+
+
+def make_test_algebra(p: int, i: int, j: int) -> MatricArtin:
+    """k^p[eps_ij]: the p+1 dimensional square-zero pointing test object."""
+    gens = MatricGeneratorSet(p, [("eps", i, j)])
+    free = MatricTruncatedFree(gens, truncation=2)
+    return MatricArtin(free, [], name=f"k^{p}[eps_{i}{j}]")
 
 
 def test_dual_numbers():
@@ -121,8 +127,8 @@ def test_quotient_multiplication_associative_on_basis():
 def test_radical_power_vanishes_at_truncation():
     free = two_var_free(4)
     R = quotient(free, [])
-    assert radical_power(R, 4) == []
-    assert len(radical_power(R, 3)) == 8
+    assert R.radical_basis(4) == []
+    assert len(R.radical_basis(3)) == 8
 
 
 # --- matric structure -----------------------------------------------------------
