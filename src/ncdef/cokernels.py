@@ -245,10 +245,7 @@ class CokernelPresentation:
         witness = self.algebra.normal_form(
             {m: c for m, c in zip(src, x[len(self.reps):]) if c}
         )
-        recon = self.algebra.zero()
-        for c, m in zip(coords, self.reps):
-            recon = recon + self.algebra.normal_form({m: c})
-        if self.derivation(witness) != e - recon:
+        if self.derivation(witness) != e - self.class_element(coords):
             raise CertificationError(
                 f"reduction witness fails d(witness) = e - sum coords*reps on {e}"
             )

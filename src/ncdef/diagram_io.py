@@ -94,7 +94,10 @@ def _parse(data: dict) -> tuple[FiniteCategory, dict, dict, dict]:
     for name in base.morphisms:
         if name not in data["values"]:
             raise InputError(f"no value space for morphism {name!r}")
-    dims = {name: int(v["dim"]) for name, v in data["values"].items()}
+    dims = {name: v["dim"] for name, v in data["values"].items()}
+    for name, dim in dims.items():
+        if type(dim) is not int or dim < 0:  # a float would be truncated, a bool read as 0 or 1
+            raise InputError(f"value space {name!r}: dim must be an integer >= 0, got {dim!r}")
     labels = {}
     for name, v in data["values"].items():
         lab = list(v.get("labels", []))
@@ -102,7 +105,8 @@ def _parse(data: dict) -> tuple[FiniteCategory, dict, dict, dict]:
             f"b{k}" for k in range(dims[name])
         ]
     mats = {}
-    # one Fraction per distinct entry string: parsing is most of a load
+    # one Fraction per distinct entry string: parsing is most of a load. Only
+    # strings are cached, so a float or a bool never hits an equal int's entry
     parsed = {}
     for entry in data["maps"]:
         f, alpha, beta = entry["of"], entry["alpha"], entry["beta"]
@@ -116,7 +120,17 @@ def _parse(data: dict) -> tuple[FiniteCategory, dict, dict, dict]:
         for line in lines:
             row = {}
             for j, x in enumerate(line):
-                e = parsed[x] if x in parsed else parsed.setdefault(x, Fraction(x))
+                if x in parsed:
+                    e = parsed[x]
+                elif type(x) is str:
+                    e = parsed[x] = Fraction(x)
+                elif type(x) is int:
+                    e = Fraction(x)
+                else:  # a float would be read as its binary approximation
+                    raise InputError(
+                        f"matrix for ({f},{alpha},{beta}): entry {x!r} is not a "
+                        "rational string or an integer"
+                    )
                 if e:
                     row[j] = e
             rows.append(row)

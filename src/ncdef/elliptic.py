@@ -160,12 +160,7 @@ def run_full_pipeline(cfg: EllipticCurve, hull_order: int = 4,
                                  lambda name: full_complex or not poset.is_identity(name))
                 } if hh.h1.dim else {}
 
-    # first-order certificate: the universal order-2 datum has zero defect
-    free2 = _tangent_free(len(ctx.tangent_reps), 2)
-    first_order_ok = ctx.validate(
-        ctx.first_order_datum(quotient(free2, [], name="H2"))
-    ).is_zero()
-
+    hull = ctx.hull_compute(hull_order)
     payload = {
         "schema": "ncdef/1",
         "input": {
@@ -181,11 +176,12 @@ def run_full_pipeline(cfg: EllipticCurve, hull_order: int = 4,
             "degree0_classes": h0_named,
             "degree1_classes": h1_named,
         },
-        "verdicts": {"first_order_certified": first_order_ok},
+        # the first-order certificate: the universal order-2 datum has zero defect
+        "verdicts": {"first_order_certified": hull.first_defect.is_zero()},
     }
 
-    if hull_order >= 3:
-        table = ctx.cup_table()
+    table = hull.cup_table
+    if table is not None:
         if table[(1, 2)] != [Fraction(1)]:
             raise EngineError(
                 "sign convention broke: <t1*, t2*> is not +o* in the configured "
@@ -195,7 +191,6 @@ def run_full_pipeline(cfg: EllipticCurve, hull_order: int = 4,
         payload["cup_products"] = {f"<t{l}*,t{m}*>": names.get(c, f"{c}*o*")
                                    for (l, m), (c,) in table.items()}
 
-    hull = ctx.hull_compute(hull_order)
     payload["hull"] = hull.payload()
     payload["verdicts"]["hull_versal_zero_defect"] = hull.versal_defect.is_zero()
 

@@ -281,26 +281,29 @@ class Correction:
 class ObstructionClass:
     """Coordinates in (chosen obstruction basis) (x) kernel basis."""
 
-    def __init__(self, coords, kernel_basis, witness: Correction | None):
+    def __init__(self, coords, surj: SmallSurjection, witness: Correction | None):
         self.coords = coords          # coords[alpha][m]
-        self.kernel_basis = kernel_basis
+        self.kernel_basis = surj.kernel_basis
+        self.base = surj.source
         self.witness = witness
 
     def is_zero(self) -> bool:
         return all(c == 0 for row in self.coords for c in row)
 
-    def relation_elements(self) -> list[MatricElement]:
-        """One base element per obstruction basis vector (zero ones skipped)."""
+    def rows(self) -> list[MatricElement]:
+        """sum_m coords[alpha][m] * kappa_m, per obstruction basis vector alpha."""
         out = []
         for row in self.coords:
-            elem = None
+            terms = {}
             for c, kappa in zip(row, self.kernel_basis):
                 if c:
-                    piece = kappa.scale(c)
-                    elem = piece if elem is None else elem + piece
-            if elem is not None and not elem.is_zero():
-                out.append(elem)
+                    axpy(terms, c, kappa.coeffs)
+            out.append(MatricElement(self.base, terms))
         return out
+
+    def relation_elements(self) -> list[MatricElement]:
+        """The nonzero rows: one relation per obstruction basis vector."""
+        return [elem for elem in self.rows() if not elem.is_zero()]
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +528,7 @@ class EngineContext:
             classes.append(cls_coords)
             for alpha, c in enumerate(cls_coords):
                 coords[alpha][m_idx] = c
-        obst = ObstructionClass(coords, surj.kernel_basis, None)
+        obst = ObstructionClass(coords, surj, None)
         if obst.is_zero():
             obst.witness = self._solve_correction(defect, surj, vecs)
         return obst
@@ -579,77 +582,58 @@ class EngineContext:
         return self.cup_table()[(l, m)]
 
     def cup_table(self):
-        """Every cup product, read off one order-2 obstruction class: the
-        (l, m) entry is the coefficient of the word t_l t_m in each row."""
-        r = len(self.tangent_reps)
-        free = _tangent_free(r, 3)
-        R2 = quotient(free, [_word_elem(free, (a, b)) for a in range(r) for b in range(r)],
-                      name="H2")
-        Rp = quotient(free, [], name="T/m^3")
-        surj = SmallSurjection(Rp, R2)
-        datum = self.first_order_datum(Rp)
-        defect = self.validate(datum)
-        obst = self.obstruction_class(defect, surj)
-        rows = []
-        for row in obst.coords:
-            elem = Rp.zero()
-            for c, kappa in zip(row, obst.kernel_basis):
-                elem = elem + kappa.scale(c)
-            rows.append(elem)
-        return {(l, m): [elem.coeffs.get(("w", (l - 1, m - 1)), _ZERO) for elem in rows]
-                for l in range(1, r + 1) for m in range(1, r + 1)}
+        """Every cup product, read off the tower's order-2 obstruction."""
+        return self.hull_compute(3).cup_table
 
     # -- the hull loop -------------------------------------------------------------
 
     def hull_compute(self, max_order: int) -> HullResult:
         """Run the lifting tower to the requested order.
 
-        Starts from the order-2 universal restriction (the first-order datum
-        over T/I^2), then alternately extracts relation generators from the
-        obstruction class of the naive lift and re-lifts with a solver-found
-        correction.
+        Starts from the first-order datum over T/I^2. Step n lifts the order-n
+        hull H = T/a in T/I^(n+1), the free algebra truncated at the step's
+        own order, where a is spanned by H's ideal basis and the words of
+        length n, and b = I a + a I by their products with the generators.
+        The naive lift's obstruction along T/b -> T/a gives the relations
+        (and at n = 2 the cup table); over T/(b + relations) it vanishes, and
+        its witness corrects the lift.
         """
         if max_order < 2:
             raise EngineError("hull order must be >= 2")
         r = len(self.tangent_reps)
-        free = _tangent_free(r, max_order)
-        length2 = [free.element({w: _ONE}) for w in free.radical_words(2)
-                   if free.word_length(w) == 2]
-        a_gens = list(length2)
-        relations: list[MatricElement] = []
-        new_by_order: dict[int, list[str]] = {}
-        H = quotient(free, a_gens, name="H2")
+        H = quotient(_tangent_free(r, 2), [], name="H2")
         datum = self.first_order_datum(H)
-        defect = self.validate(datum)
+        first_defect = defect = self.validate(datum)
         if not defect.is_zero():
             raise EngineError("the first-order datum fails to validate")
+        relations: list[MatricElement] = []
+        new_by_order: dict[int, list[str]] = {}
+        cup_table = None
         for n in range(2, max_order):
-            b_gens = []
-            for g in a_gens:
-                for k in range(r):
-                    t = free.element({("w", (k,)): _ONE})
-                    for prod in (t * g, g * t):
-                        if not prod.is_zero():
-                            b_gens.append(prod)
+            free = _tangent_free(r, n + 1)
+            a_basis = [free.element(g.coeffs) for g in H.ideal_basis()]
+            a_basis += [free.element({w: _ONE}) for w in free.radical_words(n)]
+            ts = [_word_elem(free, (k,)) for k in range(r)]
+            b_gens = [prod for g in a_basis for t in ts for prod in (t * g, g * t)
+                      if not prod.is_zero()]
             Rp = quotient(free, b_gens, name=f"T/b{n}")
+            H = quotient(free, a_basis, name=H.name)  # H re-presented in this truncation
             surj = SmallSurjection(Rp, H)
-            naive = datum.rebase_section(Rp)
-            obst = self.obstruction_class(self.validate(naive), surj)
+            obst = self.obstruction_class(self.validate(datum.rebase_section(Rp)), surj)
+            if n == 2:
+                rows = obst.rows()
+                cup_table = {(l, m): [e.coeffs.get(("w", (l - 1, m - 1)), _ZERO) for e in rows]
+                             for l in range(1, r + 1) for m in range(1, r + 1)}
             rels = [_normalize_relation(e) for e in obst.relation_elements()]
-            known = quotient(free, b_gens + [
-                MatricElement(free, dict(rel.coeffs)) for rel in relations])
-            fresh = [rel for rel in rels if not known.in_ideal(
-                MatricElement(free, dict(rel.coeffs)))]
-            a_next = b_gens + [MatricElement(free, dict(rel.coeffs)) for rel in rels]
-            H_next = quotient(free, a_next, name=f"H{n + 1}")
+            known = quotient(free, b_gens + [free.element(rel.coeffs) for rel in relations])
+            fresh = [rel for rel in rels if not known.in_ideal(free.element(rel.coeffs))]
+            H_next = quotient(free, b_gens + [free.element(rel.coeffs) for rel in rels],
+                              name=f"H{n + 1}")
             # tower coherence: H_(n+1) / I^n recovers H_n
-            length_n = [free.element({w: _ONE}) for w in free.radical_words(n)
-                        if free.word_length(w) == n]
-            if quotient(free, a_next + length_n).dim != H.dim:
+            if H_next.dim - len(H_next.radical_basis(n)) != H.dim:
                 raise EngineError(f"tower coherence fails at order {n + 1}")
-            surj2 = SmallSurjection(H_next, H)
             lifted = datum.rebase_section(H_next)
-            obst2 = self.obstruction_class(self.validate(lifted), surj2)
+            obst2 = self.obstruction_class(self.validate(lifted), SmallSurjection(H_next, H))
             if not obst2.is_zero():
                 raise NoLiftPossible(
                     f"obstruction did not vanish after enlarging the ideal at "
@@ -660,10 +644,10 @@ class EngineContext:
             if not defect.is_zero():
                 raise NoLiftPossible(f"corrected datum fails to validate at order {n + 1}")
             H = H_next
-            a_gens = a_next
             relations = _merge_relations(relations, rels)
             new_by_order[n + 1] = [str(rel) for rel in fresh]
-        return HullResult(max_order, H, relations, new_by_order, datum, defect)
+        return HullResult(max_order, H, relations, new_by_order, datum, defect,
+                          first_defect, cup_table)
 
     # -- the tangent dimension check ---------------------------------------------------------
 
@@ -810,16 +794,20 @@ class EngineContext:
 class HullResult:
     """Output of the hull loop: the truncated hull algebra, its relation
     generators (with first-appearance bookkeeping), the validated versal
-    datum with the defect cochain its final validation produced."""
+    datum with the defect cochains of its final and first validations, and
+    the cup table (None below order 3): per (l, m), the coefficient of
+    t_l t_m in each row of the order-2 obstruction."""
 
     def __init__(self, order, hull, relations, new_by_order, versal_datum,
-                 versal_defect):
+                 versal_defect, first_defect, cup_table):
         self.order = order
         self.hull = hull
         self.relations = relations
         self.new_relations_by_order = new_by_order
         self.versal_datum = versal_datum
         self.versal_defect = versal_defect
+        self.first_defect = first_defect
+        self.cup_table = cup_table
 
     def relation_strings(self) -> list[str]:
         return [str(r) for r in self.relations]
@@ -848,7 +836,7 @@ def _word_elem(free: MatricTruncatedFree, indices) -> MatricElement:
     return free.element({("w", tuple(indices)): _ONE})
 
 
-def _leading_key(free, word):
+def _leading_key(word):
     kind, data = word
     if kind == "e":
         return (0, ())
@@ -856,9 +844,7 @@ def _leading_key(free, word):
 
 
 def _normalize_relation(elem: MatricElement) -> MatricElement:
-    base = elem.parent
-    free = base.free if isinstance(base, MatricArtin) else base
-    lead = max(elem.coeffs, key=lambda w: _leading_key(free, w))
+    lead = max(elem.coeffs, key=_leading_key)
     return elem.scale(_ONE / elem.coeffs[lead])
 
 

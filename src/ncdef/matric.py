@@ -288,6 +288,12 @@ class MatricArtin:
     def in_ideal(self, elem: MatricElement) -> bool:
         return self._ideal.contains(self.free.sparse(elem))
 
+    def ideal_basis(self) -> list[MatricElement]:
+        """The reduced echelon basis of the ideal, as free elements."""
+        basis = self.free.basis
+        return [MatricElement(self.free, {basis[k]: c for k, c in row.items()})
+                for row in self._ideal.rows]
+
     def word_product(self, u, v) -> dict:
         """The reduced product of the basis words u and v as ``{word:
         coefficient}``, computed on first use and tabled; callers must not
@@ -381,8 +387,8 @@ class SmallSurjection:
         self.target = target
         ech = SubspaceReducer(source.dim, descending=True)
         kernel = []
-        for row in target._ideal.rows:
-            e = source._reduce_sparse(row)
+        for g in target.ideal_basis():
+            e = source.reduce(g)
             if not e.is_zero() and ech.add(source.sparse(e)):
                 kernel.append(e)
         self.kernel_basis = kernel
@@ -433,13 +439,10 @@ class MatricMorphism:
                 raise MatricError(f"image of {gname!r} leaves component ({i},{j})")
             self.images[gi] = img
         for g in source.ideal_generators:
-            if not self._apply_words(g).is_zero():
+            if not self.apply(g).is_zero():
                 raise MatricError(f"{name}: source ideal does not map to zero")
 
     def apply(self, elem: MatricElement) -> MatricElement:
-        return self._apply_words(elem)
-
-    def _apply_words(self, elem: MatricElement) -> MatricElement:
         out = {}
         for w, c in elem.coeffs.items():
             kind, data = w

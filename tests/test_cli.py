@@ -316,3 +316,39 @@ def test_internal_errors_surface_instead_of_exiting_one(monkeypatch):
         monkeypatch.setattr(module, "solve", broken)
     with pytest.raises(KeyError, match="internal"):
         main(["elliptic", "--a", "1", "--b", "1", "--hull-order", "2"])
+
+
+@pytest.mark.parametrize("where, value, message", [
+    ("dim", 1.9, "dim must be an integer >= 0, got 1.9"),
+    ("dim", True, "dim must be an integer >= 0, got True"),
+    ("entry", 0.1, "entry 0.1 is not a rational string or an integer"),
+    ("entry", True, "entry True is not a rational string or an integer"),
+], ids=["dim-float", "dim-bool", "entry-float", "entry-bool"])
+def test_cohomology_rejects_float_and_bool_numbers(capsys, tmp_path, where, value, message):
+    # a float dim would be truncated and a float entry read as its binary
+    # approximation; a bool would pass as 0 or 1
+    data = json.loads(DOCS_DIAGRAM.read_text())
+    if where == "dim":
+        data["values"]["id:U1"]["dim"] = value
+    else:
+        entry = data["maps"][0]
+        entry["matrix"][0][0] = value
+    path = tmp_path / "numbers.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["cohomology", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("ncdef: ") and message in err
+
+
+def test_integer_entries_load_like_their_strings():
+    from ncdef.diagram_io import functor_from_dict
+
+    data = json.loads(DOCS_DIAGRAM.read_text())
+    _base, expected = functor_from_dict(data)
+    for entry in data["maps"]:
+        entry["matrix"] = [[int(x) if x.lstrip("-").isdigit() else x for x in line]
+                           for line in entry["matrix"]]
+    _base, got = functor_from_dict(data)
+    assert got.dims == expected.dims
+    assert all(got.matrix(*key).sparse == expected.matrix(*key).sparse
+               for key in expected.mats)

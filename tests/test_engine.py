@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,11 @@ def ctx11():
 @pytest.fixture(scope="module")
 def ctx01():
     return make_context(0, 1)
+
+
+@pytest.fixture(scope="module")
+def ctx_seeded():
+    return make_context(*_seeded_curve(20261022, a_zero=False))
 
 
 def h2_base(r=2):
@@ -204,7 +210,7 @@ def test_obstruction_vanishes_after_quotienting_by_commutator(ctx11):
 # --- cup products ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("fixture", ["ctx11", "ctx01"])
+@pytest.mark.parametrize("fixture", ["ctx11", "ctx01", "ctx_seeded"])
 def test_cup_table(fixture, request):
     ctx = request.getfixturevalue(fixture)
     table = ctx.cup_table()
@@ -295,11 +301,62 @@ def test_hull_order_five_keeps_the_same_relations(ctx11):
     assert result.hull.radical_dims_by_order() == [1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("a, b", [(Fraction(1), Fraction(1)),
+                                  _seeded_curve(20261023, a_zero=True)], ids=str)
+def test_hull_order_eight_keeps_the_commutator_tower(a, b):
+    # six steps, each re-presenting the previous hull in its own truncation
+    result = make_context(a, b).hull_compute(8)
+    comm = ["t1*t2 - t2*t1"]
+    assert result.relation_strings() == comm
+    assert result.new_relations_by_order == {3: comm, 4: [], 5: [], 6: [], 7: [], 8: []}
+    assert result.hull.radical_dims_by_order() == [1, 2, 3, 4, 5, 6, 7, 8]
+    assert result.hull.dim == 36
+    assert result.versal_defect.is_zero()
+    assert result.first_defect.is_zero()
+
+
+def _drop_tau(real):
+    def first_order_datum(self, base):
+        datum = real(self, base)
+        return datum.corrected({}, {n: datum.tau[n].scale(-1) for n in datum.tau})
+    return first_order_datum
+
+
+def _relations_after_the_first(real):
+    calls = []
+
+    def relation_elements(self):
+        calls.append(self)
+        return real(self) if len(calls) == 1 else []
+    return relation_elements
+
+
+@pytest.mark.parametrize("target, mutate, error", [
+    ("EngineContext.first_order_datum", _drop_tau,
+     "the first-order datum fails to validate"),
+    ("ObstructionClass.relation_elements", lambda real: lambda self: [],
+     "obstruction did not vanish after enlarging the ideal at order 3"),
+    ("ObstructionClass.relation_elements", _relations_after_the_first,
+     "tower coherence fails at order 4"),
+    ("DeformationDatum.corrected", lambda real: lambda self, E, W: self,
+     "corrected datum fails to validate at order 3"),
+], ids=["first-order", "zero-obstruction", "coherence", "zero-defect"])
+def test_hull_certifications_raise(ctx11, monkeypatch, target, mutate, error):
+    from ncdef import engine
+
+    cls, attr = target.split(".")
+    monkeypatch.setattr(getattr(engine, cls), attr, mutate(getattr(getattr(engine, cls), attr)))
+    with pytest.raises(EngineError, match=re.escape(error)):
+        ctx11.hull_compute(4)
+
+
 def test_hull_order_two_stops_at_tangent_level(ctx11):
     result = ctx11.hull_compute(2)
     assert result.relations == []
     assert result.hull.dim == 3
     assert result.versal_defect.is_zero()
+    assert result.first_defect is result.versal_defect
+    assert result.cup_table is None
     assert ctx11.validate(result.versal_datum).is_zero()
 
 

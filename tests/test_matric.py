@@ -267,7 +267,7 @@ def test_non_small_surjection_rejected():
     R = quotient(free, [])
     t = free.generator("t")
     S = quotient(free, [t * t])
-    with pytest.raises(MatricError):
+    with pytest.raises(MatricError, match="not a small surjection"):
         SmallSurjection(R, S)
 
 
@@ -276,7 +276,7 @@ def test_surjection_requires_ideal_inclusion():
     t1 = free.generator("t1")
     R = quotient(free, [t1])
     S = quotient(free, [])
-    with pytest.raises(MatricError):
+    with pytest.raises(MatricError, match="target is not a further quotient of source"):
         SmallSurjection(R, S)
 
 
