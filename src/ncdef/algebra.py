@@ -344,7 +344,10 @@ class PresentedAlgebra:
                         f"inverted variable {self.inverted!r}; localization is "
                         "not compatible with this presentation/order"
                     )
-        self._nf_cache: dict[int, list[tuple]] = {}
+        # the normal-form monomials by (degree, exps), and the end of each
+        # degree's prefix in that list
+        self._nf_monos: list[tuple] = []
+        self._nf_ends: list[int] = []
         self._nf_table: dict[tuple, dict] = {}
 
     # -- monomial bookkeeping ------------------------------------------------
@@ -363,22 +366,36 @@ class PresentedAlgebra:
         return _first_divisor(mono, self._leading, self._inv_index)
 
     def nf_monomials(self, degree: int) -> list[tuple]:
-        """Normal-form monomials of total degree <= degree, sorted by (degree, exps)."""
-        if degree not in self._nf_cache:
-            ranges = []
-            for k in range(len(self.variables)):
-                if k == self._inv_index:
-                    ranges.append(range(-degree, degree + 1))
-                else:
-                    ranges.append(range(degree + 1))
-            monos = [
-                m
-                for m in product(*ranges)
-                if self.degree(m) <= degree and self._reducible(m) is None
-            ]
-            monos.sort(key=lambda m: (self.degree(m), m))
-            self._nf_cache[degree] = monos
-        return self._nf_cache[degree]
+        """Normal-form monomials of total degree <= degree, sorted by (degree, exps).
+
+        The lists for increasing degrees are prefixes of one list, which
+        grows by one exact-degree shell at a time; each call returns a fresh
+        copy of its prefix.
+        """
+        monos, ends = self._nf_monos, self._nf_ends
+        while len(ends) <= degree:
+            monos.extend(m for m in self._shell(len(ends)) if self._reducible(m) is None)
+            ends.append(len(monos))
+        return monos[:ends[degree]] if degree >= 0 else []
+
+    def _shell(self, degree: int) -> list[tuple]:
+        """The monomials of total degree exactly ``degree``, in increasing
+        exponent order: each exponent but the last ranges over its box, and
+        the last one takes the degree that is left."""
+        inv, last = self._inv_index, len(self.variables) - 1
+        if last < 0:
+            return [()] if degree == 0 else []
+        out = []
+        for head in product(*(range(-degree, degree + 1) if k == inv else range(degree + 1)
+                              for k in range(last))):
+            left = degree - _degree(head, inv)
+            if left < 0:
+                continue
+            if last == inv and left:
+                out += [(*head, -left), (*head, left)]
+            else:
+                out.append((*head, left))
+        return out
 
     # -- normal forms ----------------------------------------------------------
 

@@ -8,6 +8,12 @@ over a three-degree window before the presentation is trusted. ``reduce``
 then writes any element as a representative combination plus an exact
 derivation preimage (the witness).
 
+Both read one incremental echelon per chart. The images of the source
+monomials enter it in degree order, as the stages ask for more, and each
+row carries the source combination it is the image of. Stage d reads the
+rows that lie in degrees <= d, and ``reduce`` reads the witness off the
+tags of the reduction, so no stage re-eliminates what an earlier one did.
+
 The degenerate curve identification packages the global answer:
 HH^0 is H^0 of the constant functor, HH^n is H^(n-1) of the Ext^1 diagram
 for n = 1, 2. The identification needs the charts to be curves; their
@@ -24,12 +30,11 @@ from .algebra import (
     Derivation,
     PresentedAlgebra,
     TruncationEscape,
-    truncated_operator_matrix,
 )
 from .diagrams import FiniteCategory, MorFunctor, build_resolving_complex
 # kernel_basis is no longer called here but stays bound: the pipeline
 # benchmark's tracer test checks that tracing patches this binding
-from .linalg import Matrix, SubspaceReducer, kernel_basis, rref, solve  # noqa: F401
+from .linalg import Matrix, SubspaceReducer, axpy, kernel_basis, solve  # noqa: F401
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -99,7 +104,15 @@ class Reduction:
 
 
 class CokernelPresentation:
-    """Finite presentation of coker(d: A -> A) with exact reduction data."""
+    """Finite presentation of coker(d: A -> A) with exact reduction data.
+
+    One echelon holds the images of the source monomials, inserted in
+    ``nf_monomials`` order as the stages ask for them. Its vector indices
+    are the target monomials in that order, so each A_{<=d} is an index
+    prefix, and a row pivots on its largest index: the rows pivoting below
+    |A_{<=d}| span the image inside A_{<=d}. Each row carries, under the
+    tag index -1 - j of source j, the source combination whose image it is.
+    """
 
     def __init__(self, algebra: PresentedAlgebra, derivation: Derivation,
                  d_start: int = D_START, d_max: int = 24, preferred=()):
@@ -114,9 +127,17 @@ class CokernelPresentation:
             self.preferred.append(next(iter(e.terms)))
         self._shift = max(1, derivation.degree_shift(min(6, d_start)))
         self._margin = self._shift + 4
-        self._stages: dict[int, dict] = {}
-        self._systems: dict[int, tuple] = {}
-        self._matrices: dict[int, tuple] = {}
+        self._stages: dict[int, list] = {}
+        # target monomials by index, and the index of each
+        self._targets: list[tuple] = []
+        self._ids: dict[tuple, int] = {}
+        # the inserted source monomials (those of degree <= _source_degree)
+        self._sources: list[tuple] = []
+        self._source_degree = -1
+        self._image = SubspaceReducer(0, descending=True)
+        # the echelon rank the representatives' residual system was built at,
+        # and that system
+        self._rep_system = None
         reps = None
         self.d_star = None
         for d in range(d_start, d_max - 1):
@@ -130,19 +151,20 @@ class CokernelPresentation:
         self.reps = reps
         self.rep_labels = [algebra.format_monomial(m) for m in reps]
 
-    # -- truncation stages ------------------------------------------------------
+    # -- the image echelon ----------------------------------------------------
 
-    def _operator_matrix(self, d_in: int) -> tuple[Matrix, int]:
-        """The derivation's matrix from degree <= d_in to degree <= d_in + shift,
-        with that target degree; built once per source degree and shift."""
-        if d_in in self._matrices:
-            return self._matrices[d_in]
+    def _extend(self, d_in: int) -> None:
+        """Insert the images of the source monomials of degree <= d_in that
+        are not in yet. An image must lie in degree <= d_in + shift; if one
+        escapes, the shift grows and later stages use the larger margin."""
+        if d_in <= self._source_degree:
+            return
+        sources = self.algebra.nf_monomials(d_in)
+        new = sources[len(self._sources):]
         shift = self._shift
         while True:
             try:
-                m = truncated_operator_matrix(
-                    self.derivation, self.algebra, self.algebra, d_in, d_in + shift
-                )
+                images = self._images(new, d_in + shift)
                 break
             except TruncationEscape:
                 shift += 1
@@ -152,52 +174,59 @@ class CokernelPresentation:
             self._shift = shift
             self._margin = shift + 4
             self._stages.clear()
-            self._systems.clear()
-            self._matrices.clear()
-        self._matrices[d_in] = (m, d_in + shift)
-        return self._matrices[d_in]
+        for j, image in enumerate(images, len(self._sources)):
+            # an image that reduces to zero leaves a free source, not a row
+            self._image.add(image, {-1 - j: _ONE})
+        self._sources = sources
+        self._source_degree = d_in
 
-    def _stage(self, d: int) -> dict:
-        """Image data at degree d: an echelon basis of the subspace of R_d hit
-        by the derivation."""
-        if d in self._stages:
-            return self._stages[d]
-        dd = d + self._margin
-        matrix, d_out = self._operator_matrix(dd)
-        tgt = self.algebra.nf_monomials(d_out)
-        low = [i for i, m in enumerate(tgt) if self.algebra.degree(m) <= d]
-        high = [i for i, m in enumerate(tgt) if self.algebra.degree(m) > d]
-        low_basis = self.algebra.nf_monomials(d)
-        if [tgt[i] for i in low] != low_basis:
-            raise CertificationError(
-                f"degree-{d} monomials are not the low block of the degree-{d_out} basis"
-            )
-        # One image per source monomial, high-degree coordinates first: the
-        # echelon rows whose pivot lies in the low block span the image inside R_d.
-        position = {i: k for k, i in enumerate(high + low)}
-        images = [{} for _ in range(matrix.cols)]
-        for i, row in enumerate(matrix.sparse):
-            k = position[i]
-            for j, e in row.items():
-                images[j][k] = e
-        echelon, pivots = rref(Matrix.from_sparse(matrix.cols, len(position), images))
-        # a row pivoting in the low block is zero on the whole high block
-        h = len(high)
-        rows = [{j - h: e for j, e in echelon.sparse[k].items()}
-                for k, c in enumerate(pivots) if c >= h]
-        stage = {"d": d, "basis": low_basis, "image": rows}
-        self._stages[d] = stage
-        return stage
+    def _images(self, sources, d_out: int) -> list[dict]:
+        """The derivation's images of the sources on the target indices of
+        degree <= d_out; raises TruncationEscape for one that does not fit."""
+        targets = self.algebra.nf_monomials(d_out)
+        ids = self._ids
+        for m in targets[len(self._targets):]:
+            ids[m] = len(ids)
+        if len(targets) > len(self._targets):
+            self._targets = targets
+            self._image.dim = len(targets)
+        limit = len(targets)
+        out = []
+        for m in sources:
+            row = {}
+            for mm, c in self.derivation.monomial_image(m).items():
+                i = ids.get(mm, limit)
+                if i >= limit:
+                    raise TruncationEscape(
+                        f"image of {self.algebra.format_monomial(m)} contains "
+                        f"{self.algebra.format_monomial(mm)} of degree "
+                        f"{self.algebra.degree(mm)} > {d_out}"
+                    )
+                row[i] = c
+            out.append(row)
+        return out
 
     def _rep_monomials(self, d: int) -> list[tuple]:
-        """Complement of the image in the degree-d slice: preferred candidates
-        first (kept only if independent), then greedy by ascending degree."""
-        stage = self._stage(d)
-        basis = stage["basis"]
+        """Complement of the image in the degree-d slice, from the sources of
+        degree <= d + margin: preferred candidates first (kept only if
+        independent), then greedy by ascending degree."""
+        if d in self._stages:
+            return self._stages[d]
+        self._extend(d + self._margin)
+        basis = self.algebra.nf_monomials(d)
+        n = len(basis)
+        if self._targets[:n] != basis:
+            raise CertificationError(
+                f"degree-{d} monomials are not a prefix of the target basis"
+            )
+        # the rows pivoting in A_{<=d} are zero above it, and reduced already,
+        # so the reducer takes them without further elimination
+        reducer = SubspaceReducer(n, descending=True)
+        image = self._image
+        for p, row in zip(image.pivots, image.rows):
+            if p < n:
+                reducer.add({j: e for j, e in row.items() if j >= 0})
         index = {m: i for i, m in enumerate(basis)}
-        reducer = SubspaceReducer(len(basis))
-        for row in stage["image"]:
-            reducer.add(row)
         reps = []
 
         def try_monomial(m):
@@ -210,6 +239,7 @@ class CokernelPresentation:
         for m in basis:
             if m not in reps:
                 try_monomial(m)
+        self._stages[d] = reps
         return reps
 
     # -- public API ---------------------------------------------------------------
@@ -226,6 +256,11 @@ class CokernelPresentation:
 
         Extends the truncation window if e is too big, re-checking that the
         stored representatives stay a complement (NoStabilization otherwise).
+        The residual of e against the image echelon is the combination of
+        the representatives' residuals with coefficients ``coords``, and the
+        witness is minus e's tag plus that combination of their tags. This
+        is the RREF solution of [reps | D] with the free sources zero, so
+        the sources inserted for a larger element leave it unchanged.
         """
         e = self.algebra.normal_form(e)
         d = max(self.d_star, e.degree())
@@ -234,16 +269,27 @@ class CokernelPresentation:
                 raise NoStabilization(self.d_max, f"element of degree {d}")
             if self._rep_monomials(d) != self.reps:
                 raise NoStabilization(self.d_max, "window extension changed the basis")
-        full, index, src = self._system(d + self._margin)
+        ids = self._ids
+        residual = self._image.residual({ids[m]: c for m, c in e.terms.items()})
+        system, index, rep_tags = self._rep_residuals()
         vec = [_ZERO] * len(index)
-        for m, c in e.terms.items():
-            vec[index[m]] = c
-        x = solve(full, vec)
-        if x is None:
+        witness = {}
+        for j, c in residual.items():
+            if j < 0:
+                witness[j] = -c
+            elif j in index:
+                vec[index[j]] = c
+            else:
+                raise NoStabilization(self.d_max, "element not covered by the window")
+        coords = solve(system, vec)
+        if coords is None:
             raise NoStabilization(self.d_max, "element not covered by the window")
-        coords = x[: len(self.reps)]
+        for c, tag in zip(coords, rep_tags):
+            if c:
+                axpy(witness, c, tag)
+        sources = self._sources
         witness = self.algebra.normal_form(
-            {m: c for m, c in zip(src, x[len(self.reps):]) if c}
+            {sources[-1 - j]: witness[j] for j in sorted(witness, reverse=True)}
         )
         if self.derivation(witness) != e - self.class_element(coords):
             raise CertificationError(
@@ -251,23 +297,23 @@ class CokernelPresentation:
             )
         return Reduction(coords, witness)
 
-    def _system(self, dd: int) -> tuple[Matrix, dict, list]:
-        """The [reps | D] system reduce() solves at source degree dd, with the
-        target index and the source monomials; built once per degree."""
-        if dd in self._systems:
-            return self._systems[dd]
-        matrix, d_out = self._operator_matrix(dd)
-        tgt = self.algebra.nf_monomials(d_out)
-        index = {m: i for i, m in enumerate(tgt)}
-        src = self.algebra.nf_monomials(dd)
-        cols = []
-        for m in self.reps:
-            col = [_ZERO] * len(tgt)
-            col[index[m]] = _ONE
-            cols.append(col)
-        full = Matrix.from_columns(cols, nrows=len(tgt)).hstack(matrix)
-        self._systems[dd] = (full, index, src)
-        return self._systems[dd]
+    def _rep_residuals(self) -> tuple[Matrix, dict, list]:
+        """The representatives' residuals against the image echelon: their
+        vector parts as the columns of a matrix on the target indices that
+        ``index`` lists, and their tags; rebuilt when the echelon grows."""
+        image = self._image
+        if self._rep_system is None or self._rep_system[0] != image.rank:
+            columns, tags = [], []
+            for m in self.reps:
+                residual = image.residual({self._ids[m]: _ONE})
+                columns.append({j: c for j, c in residual.items() if j >= 0})
+                tags.append({j: c for j, c in residual.items() if j < 0})
+            index = {j: i for i, j in enumerate(sorted({j for col in columns for j in col}))}
+            system = Matrix.from_sparse(
+                len(columns), len(index),
+                [{index[j]: c for j, c in col.items()} for col in columns]).transpose()
+            self._rep_system = (image.rank, system, index, tags)
+        return self._rep_system[1:]
 
     def class_element(self, coords) -> AlgebraElement:
         out = self.algebra.zero()

@@ -625,10 +625,14 @@ class EngineContext:
                 cup_table = {(l, m): [e.coeffs.get(("w", (l - 1, m - 1)), _ZERO) for e in rows]
                              for l in range(1, r + 1) for m in range(1, r + 1)}
             rels = [_normalize_relation(e) for e in obst.relation_elements()]
-            known = quotient(free, b_gens + [free.element(rel.coeffs) for rel in relations])
-            fresh = [rel for rel in rels if not known.in_ideal(free.element(rel.coeffs))]
             H_next = quotient(free, b_gens + [free.element(rel.coeffs) for rel in rels],
                               name=f"H{n + 1}")
+            # the same relations as before close the same generators
+            if [rel.coeffs for rel in rels] == [rel.coeffs for rel in relations]:
+                known = H_next
+            else:
+                known = quotient(free, b_gens + [free.element(rel.coeffs) for rel in relations])
+            fresh = [rel for rel in rels if not known.in_ideal(free.element(rel.coeffs))]
             # tower coherence: H_(n+1) / I^n recovers H_n
             if H_next.dim - len(H_next.radical_basis(n)) != H.dim:
                 raise EngineError(f"tower coherence fails at order {n + 1}")

@@ -229,18 +229,6 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(self.sparse)
 
-    def hstack(self, other: Matrix) -> Matrix:
-        if self.rows != other.rows:
-            raise DimensionMismatch("hstack row mismatch")
-        n = self.cols
-        out = []
-        for a, b in zip(self.sparse, other.sparse):
-            v = dict(a)
-            for j, e in b.items():
-                v[n + j] = e
-            out.append(v)
-        return Matrix.from_sparse(self.rows, n + other.cols, out)
-
 
 def _echelon(m: Matrix) -> dict[int, dict[int, Fraction]]:
     """The reduced echelon of m's rows as pivot -> sparse row, cached on m."""
@@ -392,9 +380,20 @@ class SubspaceReducer:
     def contains(self, vec) -> bool:
         return not self.residual(vec)
 
-    def add(self, vec) -> bool:
-        """Insert vec; returns True if it enlarged the subspace."""
-        return _insert(self._rows, _sparse(vec), self._first)
+    def add(self, vec, tag=None) -> bool:
+        """Insert vec; returns True if it enlarged the subspace.
+
+        A tag is a sparse dict on negative indices that rides along in vec's
+        row. Rows combine tags as they combine vectors: a row whose vector
+        part is sum c_j * v_j holds sum c_j * tag_j on the negative indices.
+        Rows pivot on their vector part only, and a vector whose vector part
+        reduces to zero is not added. The residual of an untagged vector b
+        then holds minus the tag combination of its projection b - residual.
+        """
+        v = _sparse(vec)
+        if tag is not None:
+            v.update(_sparse(tag))
+        return _insert(self._rows, v, self._first)
 
 
 def _reduce(rows: dict, v: dict) -> dict:
@@ -407,14 +406,20 @@ def _reduce(rows: dict, v: dict) -> dict:
 
 def _insert(rows: dict, v: dict, first) -> bool:
     """Reduce v against the pivot -> row map and add what is left as a row
-    pivoting on ``first(v)``, clearing that pivot from the other rows.
-    Returns True if a row was added. Every elimination goes through here;
-    the matrix ones call it directly, so ``SubspaceReducer.add`` is entered
-    only by incremental callers."""
+    pivoting on ``first`` of its nonnegative indices (negative ones hold a
+    tag), clearing that pivot from the other rows. Returns True if a row
+    was added. Every elimination goes through here; the matrix ones call
+    it directly, so ``SubspaceReducer.add`` is entered only by incremental
+    callers."""
     _reduce(rows, v)
     if not v:
         return False
     p = first(v)
+    if p < 0:
+        # a tag index never pivots: pivot on the vector part, if any is left
+        p = first((j for j in v if j >= 0), default=-1)
+        if p < 0:
+            return False
     inv = v[p]
     if inv != 1:
         v = {j: e / inv for j, e in v.items()}

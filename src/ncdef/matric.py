@@ -235,8 +235,9 @@ class MatricArtin:
             if any(free.word_length(w) == 0 for w in g.coeffs):
                 raise MatricError("ideal generator outside the radical")
             ech.add(free.sparse(g))
-        # two-sided closure: multiply by idempotents and length-1 generators
-        side = [free.idempotent(i) for i in range(1, free.p + 1)]
+        # two-sided closure: multiply by idempotents and length-1 generators;
+        # for p = 1 the one idempotent is the unit, whose products add nothing
+        side = [free.idempotent(i) for i in range(1, free.p + 1)] if free.p > 1 else []
         side += [free.element({("w", (gi,)): _ONE}) for gi in range(len(free.gens))]
         frontier = list(self.ideal_generators)
         while frontier:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -88,6 +89,34 @@ def test_nf_monomial_slices_are_finite_and_sorted():
     assert degs == sorted(degs)
     # x^i y^j with 0 <= i <= 2, i + |j| <= 3
     assert len(monos) == 7 + 5 + 3
+
+
+def _box_monomials(A, degree):
+    """The normal-form monomials of degree <= degree by enumerating the whole
+    exponent box: a monomial is standard when it is its own normal form."""
+    inv = A.variables.index(A.inverted) if A.inverted else -1
+    ranges = [range(-degree, degree + 1) if k == inv else range(degree + 1)
+              for k in range(len(A.variables))]
+    monos = [m for m in itertools.product(*ranges)
+             if A.degree(m) <= degree and A.normal_form({m: 1}).terms == {m: 1}]
+    return sorted(monos, key=lambda m: (A.degree(m), m))
+
+
+@pytest.mark.parametrize("make, top", [
+    (lambda: chart_A1(1, 1)[0], 16),
+    (lambda: chart_A2(0, 1)[0], 16),
+    (lambda: chart_A3(Fraction(-2, 3), Fraction(5, 7))[0], 16),
+    (lambda: PresentedAlgebra(["x", "y", "z"], ["x*y - z^2"], inverted="z"), 10),
+    (lambda: PresentedAlgebra(["z", "x", "y"], ["x*y - z"], inverted="z"), 10),
+], ids=["polynomial A1", "polynomial A2", "Laurent A3", "Laurent in z last", "Laurent in z first"])
+def test_nf_monomials_match_box_enumeration(make, top):
+    boxes = [_box_monomials(make(), d) for d in range(top + 1)]
+    # the shells grow in any order of requests, and each degree is a prefix
+    for order in (range(top + 1), range(top, -1, -1)):
+        A = make()
+        for d in order:
+            assert A.nf_monomials(d) == boxes[d]
+    assert A.nf_monomials(-1) == []
 
 
 def test_undeclared_variable_rejected():

@@ -9,8 +9,14 @@ import pytest
 
 import ncdef
 from ncdef import cokernels
-from ncdef.algebra import TruncationEscape
+from ncdef.algebra import (
+    Derivation,
+    PresentedAlgebra,
+    TruncationEscape,
+    truncated_operator_matrix,
+)
 from ncdef.cokernels import (
+    D_START,
     NoStabilization,
     build_ext_diagram,
     cokernel_of_derivation,
@@ -18,7 +24,7 @@ from ncdef.cokernels import (
 )
 from ncdef.diagrams import constant_functor
 from ncdef.elliptic import INCL_13, INCL_23, U1, U2, U3, SingularCurve, build
-from ncdef.linalg import Matrix
+from ncdef.linalg import Matrix, SubspaceReducer, rref, solve
 
 
 def coker(cfg, chart, d_start=6, d_max=24, preferred=True):
@@ -176,36 +182,129 @@ def test_stabilization_oracle_recompute_at_dmax_plus_3(cfg11):
             assert ck.reduce(e).coords == ck2.reduce(e).coords
 
 
+# --- the image echelon against one elimination per stage ---------------------------
+
+
+def _stage_oracle(ck, d):
+    """Stage d from scratch: the image of the sources of degree <= d + margin
+    by truncated_operator_matrix, its rref with the coordinates above degree
+    d first, and the greedy complement of the rows pivoting in A_{<=d}."""
+    A = ck.algebra
+    d_in = d + ck._margin
+    m = truncated_operator_matrix(ck.derivation, A, A, d_in, d_in + ck._shift)
+    low = A.nf_monomials(d)
+    n, h = len(low), m.rows - len(low)
+    images = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m.sparse):
+        for j, c in row.items():
+            images[j][i - n if i >= n else h + i] = c
+    echelon, pivots = rref(Matrix.from_sparse(m.cols, m.rows, images))
+    reducer = SubspaceReducer(n)
+    for k, p in enumerate(pivots):
+        if p >= h:
+            reducer.add({j - h: c for j, c in echelon.sparse[k].items()})
+    index = {mono: i for i, mono in enumerate(low)}
+    reps = []
+    for mono in [*(mono for mono in ck.preferred if mono in index), *low]:
+        if mono not in reps and reducer.add({index[mono]: 1}):
+            reps.append(mono)
+    return reps
+
+
+def _reduce_oracle(ck, e):
+    """The RREF solution of [reps | D] at the window of e, by linalg.solve."""
+    A = ck.algebra
+    d_in = max(ck.d_star, e.degree()) + ck._margin
+    m = truncated_operator_matrix(ck.derivation, A, A, d_in, d_in + ck._shift)
+    tgt = A.nf_monomials(d_in + ck._shift)
+    k = len(ck.reps)
+    reps = Matrix.from_columns([[int(mono == r) for mono in tgt] for r in ck.reps],
+                               nrows=len(tgt))
+    system = Matrix.from_blocks(len(tgt), k + m.cols, [(0, 0, reps, 1), (0, k, m, 1)])
+    x = solve(system, [e.terms.get(mono, 0) for mono in tgt])
+    witness = A.normal_form({mono: c for mono, c in zip(A.nf_monomials(d_in), x[k:]) if c})
+    return x[:k], witness
+
+
+def _seeded_curve(rng, a_zero):
+    while True:
+        a = Fraction(0) if a_zero else Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3))
+        b = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        try:
+            return build(a, b)
+        except SingularCurve:
+            continue
+
+
+def _genus_two_chart():
+    A = PresentedAlgebra(["x", "y"], ["y^2 - x^5 - 1"], name="y^2 = x^5 + 1")
+    return A, Derivation(A, {"x": "2*y", "y": "5*x^4"}), ()
+
+
+def _oracle_cases():
+    rng = random.Random(29)
+    for a_zero in (False, True):
+        cfg = _seeded_curve(rng, a_zero)
+        for chart in (U1, U2, U3):
+            c = cfg.charts[chart]
+            yield c.algebra, c.derivation, cfg.ext1[chart]
+    yield _genus_two_chart()
+
+
+def test_image_echelon_matches_one_elimination_per_stage():
+    rng = random.Random(31)
+    for algebra, derivation, preferred in _oracle_cases():
+        ck = cokernel_of_derivation(algebra, derivation, preferred=preferred)
+        assert ck._margin == ck._shift + 4
+        for d in range(D_START, ck.d_star + 1):
+            assert ck._rep_monomials(d) == _stage_oracle(ck, d), (algebra.name, d)
+        monos = algebra.nf_monomials(ck.d_star)
+        low = [algebra.normal_form({rng.choice(monos): Fraction(rng.randint(-4, 4), 3)})
+               + algebra.normal_form({rng.choice(monos): 1}) for _ in range(4)]
+        low += ck.rep_elements() + [derivation(algebra.normal_form({monos[-1]: 1}))]
+        high = [algebra.normal_form({mono: 1}) + low[0] for mono in
+                (algebra.nf_monomials(ck.d_star + k)[-1] for k in (1, 2))]
+        for e in low + high + low:
+            red = ck.reduce(e)
+            coords, witness = _reduce_oracle(ck, e)
+            assert red.coords == coords and red.witness == witness, (algebra.name, e)
+        for d in (ck.d_star + 1, ck.d_star + 2):
+            assert ck._rep_monomials(d) == _stage_oracle(ck, d) == ck.reps
+
+
 def test_reduce_rebuilds_its_system_after_a_shift_bump(cfg11, monkeypatch):
+    # a probe one below the true shift makes the first window's images
+    # escape: the shift grows by one, and later stages and reduce use the
+    # larger margin
+    chart = cfg11.charts[U3]
+    honest = coker(cfg11, U3)
+    real = Derivation.degree_shift
+    monkeypatch.setattr(Derivation, "degree_shift",
+                        lambda self, probe_degree=6: real(self, probe_degree) - 1)
+    probed = chart.derivation.degree_shift(6)
+    assert probed >= 1
+    escapes = []
+    images = cokernels.CokernelPresentation._images
+
+    def counting(self, sources, d_out):
+        try:
+            return images(self, sources, d_out)
+        except TruncationEscape:
+            escapes.append(d_out)
+            raise
+
+    monkeypatch.setattr(cokernels.CokernelPresentation, "_images", counting)
     ck = coker(cfg11, U3)
-    real = cokernels.truncated_operator_matrix
-    builds = []
-    escape_once = []
-
-    def counting(*args):
-        builds.append(args[3])
-        if escape_once:
-            escape_once.pop()
-            raise TruncationEscape("forced")
-        return real(*args)
-
-    monkeypatch.setattr(cokernels, "truncated_operator_matrix", counting)
-    e = ck.algebra.normal_form("15*y^2")
-    first = ck.reduce(e)
-    ck.reduce(e)
-    # the system reuses the top stage's matrix, and the second reduce the system
-    assert builds == []
-    # one escape raises the shift: the window caches must be dropped
-    margin = ck._margin
-    escape_once.append(True)
-    ck._operator_matrix(ck.d_star)
-    assert ck._margin == margin + 1
-    assert not ck._systems
-    builds.clear()
-    again = ck.reduce(e)
-    assert builds == [ck.d_star + ck._margin]
-    assert again.coords == first.coords
-    assert ck.derivation(again.witness) == ck.derivation(first.witness)
+    # the stage that escaped still read its sources at the old margin
+    assert escapes == [D_START + (probed + 4) + probed]
+    assert ck._margin == probed + 1 + 4 == honest._margin
+    assert ck.reps == honest.reps and ck.d_star == honest.d_star
+    e = ck.algebra.normal_form("15*y^2 + x*y^-9")
+    d = e.degree()
+    assert d > ck.d_star
+    red, again = ck.reduce(e), honest.reduce(e)
+    assert ck._source_degree == d + ck._margin
+    assert red.coords == again.coords and red.witness == again.witness
 
 
 _TAMPER_SCRIPT = """

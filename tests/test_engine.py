@@ -301,6 +301,25 @@ def test_hull_order_five_keeps_the_same_relations(ctx11):
     assert result.hull.radical_dims_by_order() == [1, 2, 3, 4, 5]
 
 
+def test_hull_step_closes_its_relations_once_they_repeat(ctx11, monkeypatch):
+    # from order 3 on a step finds the relations it started from, so the
+    # ideal that tests them for freshness is the next hull's
+    from ncdef import engine
+
+    names = []
+    real = engine.quotient
+
+    def counting(free, gens, name="R"):
+        names.append(name)
+        return real(free, gens, name=name)
+
+    monkeypatch.setattr(engine, "quotient", counting)
+    result = ctx11.hull_compute(6)
+    assert result.relation_strings() == ["t1*t2 - t2*t1"]
+    assert names == ["H2", "T/b2", "H2", "H3", "R",
+                     "T/b3", "H3", "H4", "T/b4", "H4", "H5", "T/b5", "H5", "H6"]
+
+
 @pytest.mark.parametrize("a, b", [(Fraction(1), Fraction(1)),
                                   _seeded_curve(20261023, a_zero=True)], ids=str)
 def test_hull_order_eight_keeps_the_commutator_tower(a, b):

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from ncdef.linalg import SubspaceReducer
 from ncdef.matric import (
     MatricArtin,
+    MatricElement,
     MatricError,
     MatricGeneratorSet,
     MatricMorphism,
@@ -89,6 +91,32 @@ def test_reduce_emits_words_in_basis_order():
     assert list(reduced.coeffs) == sorted(reduced.coeffs, key=free.index.__getitem__)
     assert reduced.coeffs == {("e", 1): 2, ("w", (1,)): -1, ("w", (0, 0)): 5,
                               ("w", (0, 1)): 3}
+
+
+def test_one_pointed_closure_skips_the_unit_and_spans_the_same_ideal(monkeypatch):
+    free = two_var_free(6)
+    t1, t2 = free.generator("t1"), free.generator("t2")
+    gens = [t1 * t2 - t2 * t1, t1 * t1 * t1]
+    unit = free.idempotent(1)
+    # the closure a quotient would build with the unit among the factors
+    ech = SubspaceReducer(free.dim, descending=True)
+    frontier = [g for g in gens if ech.add(free.sparse(g))]
+    while frontier:
+        frontier = [prod for s in frontier for m in (unit, t1, t2)
+                    for prod in (m * s, s * m) if ech.add(free.sparse(prod))]
+    factors = []
+    real = MatricTruncatedFree.multiply
+
+    def recording(self, a, b):
+        factors.extend((a, b))
+        return real(self, a, b)
+
+    monkeypatch.setattr(MatricTruncatedFree, "multiply", recording)
+    R = quotient(free, gens)
+    assert factors and unit not in factors
+    assert R.dim == free.dim - ech.rank
+    assert all(R.in_ideal(MatricElement(free, {free.basis[k]: c for k, c in row.items()}))
+               for row in ech.rows)
 
 
 def test_zero_ideal_gives_free_algebra():
