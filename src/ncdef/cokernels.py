@@ -134,7 +134,7 @@ class CokernelPresentation:
         # the inserted source monomials (those of degree <= _source_degree)
         self._sources: list[tuple] = []
         self._source_degree = -1
-        self._image = SubspaceReducer(0, descending=True)
+        self._image = SubspaceReducer(0)
         # the echelon rank the representatives' residual system was built at,
         # and that system
         self._rep_system = None
@@ -221,7 +221,7 @@ class CokernelPresentation:
             )
         # the rows pivoting in A_{<=d} are zero above it, and reduced already,
         # so the reducer takes them without further elimination
-        reducer = SubspaceReducer(n, descending=True)
+        reducer = SubspaceReducer(n)
         image = self._image
         for p, row in zip(image.pivots, image.rows):
             if p < n:

@@ -362,7 +362,7 @@ class CohomologyGroup:
         pivots = set(rref(d)[1])
         self._free = [j for j in range(d.cols) if j not in pivots]
         position = {j: k for k, j in enumerate(self._free)}
-        self._image = SubspaceReducer(len(self._free), descending=True)
+        self._image = SubspaceReducer(len(self._free))
         if p > 0:
             prev = rc.differentials[p - 1]
             columns = prev.transpose().sparse

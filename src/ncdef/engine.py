@@ -37,7 +37,7 @@ from fractions import Fraction
 from .algebra import AlgebraElement, PresentedAlgebra
 from .cokernels import ExtDiagram, GlobalHochschild
 from .diagrams import CocycleError
-from .linalg import Matrix, axpy, kernel_basis, rank, solve
+from .linalg import Matrix, SubspaceReducer, axpy, kernel_basis, rank, solve
 from .matric import (
     MatricArtin,
     MatricElement,
@@ -474,7 +474,7 @@ class EngineContext:
         """Write an A (x) K element as per-kernel-basis algebra coefficients."""
         if te.is_zero():
             return [te.algebra.zero() for _ in surj.kernel_basis]
-        if surj.kernel_matrix is None:
+        if not surj.kernel_basis:
             raise UnsupportedDefect("nonzero defect with a zero kernel")
         by_monomial: dict[tuple, dict] = {}
         for (w, m), c in te.coeffs.items():
@@ -627,12 +627,13 @@ class EngineContext:
             rels = [_normalize_relation(e) for e in obst.relation_elements()]
             H_next = quotient(free, b_gens + [free.element(rel.coeffs) for rel in rels],
                               name=f"H{n + 1}")
-            # the same relations as before close the same generators
-            if [rel.coeffs for rel in rels] == [rel.coeffs for rel in relations]:
-                known = H_next
-            else:
-                known = quotient(free, b_gens + [free.element(rel.coeffs) for rel in relations])
-            fresh = [rel for rel in rels if not known.in_ideal(free.element(rel.coeffs))]
+            # the earlier relations lie in a and I a + a I = b, so b plus their
+            # span is already a two-sided ideal: a relation is fresh when its
+            # T/b reduction is not in the span of theirs
+            known = SubspaceReducer(Rp.dim)
+            for rel in relations:
+                known.add(Rp.sparse(Rp.reduce(free.element(rel.coeffs))))
+            fresh = [rel for rel in rels if not known.contains(Rp.sparse(rel))]
             # tower coherence: H_(n+1) / I^n recovers H_n
             if H_next.dim - len(H_next.radical_basis(n)) != H.dim:
                 raise EngineError(f"tower coherence fails at order {n + 1}")

@@ -15,14 +15,16 @@ are inserted in turn; ``SubspaceReducer`` grows one echelon a vector at a
 time, as in greedy complement selection, and accepts sparse dicts or dense
 vectors.
 
-Each inserted row pivots on its first nonzero index and stays 1 at its
-pivot and 0 at every other row's pivot, so the rows sorted by pivot are the
-unique RREF whatever order they were inserted in. A matrix is immutable,
-so its eliminations are cached on it: ``rref``, ``rank``, ``kernel_basis``
-and ``image_basis`` read one echelon of its rows, and ``solve`` factors the
-matrix once (the echelon of ``[m | I]``, which holds the left transform E
-with E @ m = rref(m)) and answers every later right-hand side with a
-sparse product E @ b.
+A matrix elimination pivots each inserted row on its first nonzero index,
+a ``SubspaceReducer`` on its last. Either way each row stays 1 at its pivot
+and 0 at every other row's pivot, so the rows are the unique reduced
+echelon of their span whatever order they were inserted in (the RREF for
+first-index pivots). A row may carry a tag on negative indices, the
+combination of inserted vectors it came from, and coordinates are read off
+those tags (``tag_coordinates``). A matrix is immutable, so its
+eliminations are cached on it: ``rref``, ``rank``, ``kernel_basis`` and
+``image_basis`` read one echelon of its rows, and ``solve`` one tagged
+echelon of its columns.
 
 >>> m = Matrix.from_rows([[1, 2], [2, 4]])
 >>> r, pivots = rref(m)
@@ -61,7 +63,7 @@ class Matrix:
     The rows are shared, never mutated: code that edits one edits a copy.
     """
 
-    __slots__ = ("rows", "cols", "sparse", "_echelon", "_factor")
+    __slots__ = ("rows", "cols", "sparse", "_echelon", "_column_echelon")
 
     def __init__(self, rows: int, cols: int, entries):
         """A matrix from its rows * cols entries, row-major."""
@@ -77,7 +79,7 @@ class Matrix:
         self.cols = cols
         self.sparse = sparse
         self._echelon = None
-        self._factor = None
+        self._column_echelon = None
 
     @classmethod
     def from_sparse(cls, rows: int, cols: int, sparse: list) -> Matrix:
@@ -277,57 +279,41 @@ def cokernel_reps(m: Matrix) -> list[int]:
     return [i for i in range(m.rows) if i not in pivots]
 
 
-class _Factorization:
-    """The reduced echelon of [m | I], ready for repeated solves.
-
-    ``columns[k]`` holds the nonzero (pivot, entry) pairs of column k of
-    the left transform E, with E @ m = rref(m). [m | I] has full row rank,
-    so every row pivots: a pivot below m.cols marks a row of rref(m), one
-    from m.cols on a row of E spanning the left null space of m, which
-    decides feasibility.
-    """
-
-    __slots__ = ("columns",)
-
-    def __init__(self, m: Matrix):
-        n = m.cols
-        rows: dict[int, dict[int, Fraction]] = {}
-        for i, row in enumerate(m.sparse):
-            v = dict(row)
-            v[n + i] = _ONE
-            _insert(rows, v, min)
-        self.columns = [[] for _ in range(m.rows)]
-        for p, row in rows.items():
-            for j, e in row.items():
-                if j >= n:
-                    self.columns[j - n].append((p, e))
-
-
 def solve(m: Matrix, b) -> list[Fraction] | None:
     """One exact solution of m @ x = b, or None if the system is infeasible.
 
-    The solution is the RREF one: free columns zero, pivot columns read off
-    the reduced right-hand side E @ b. The factorization of m is computed
-    on the first solve and reused by every later solve against the same
-    matrix.
+    On the first solve against m its columns enter one reduced echelon in
+    turn, column j tagged -1 - j; a column is kept exactly when it is a
+    pivot column of rref(m), and the echelon is cached on m. The residual
+    of b against it is free of indices >= 0 exactly when b lies in the
+    column space, and then holds -x[j] at -1 - j: the RREF solution, free
+    columns zero.
+
+    >>> solve(Matrix.from_rows([[1, 2, 1], [2, 4, 0]]), [3, 2])
+    [Fraction(1, 1), Fraction(0, 1), Fraction(2, 1)]
+    >>> solve(Matrix.from_rows([[1, 2], [2, 4]]), [1, 0]) is None
+    True
     """
     if len(b) != m.rows:
         raise DimensionMismatch("rhs length != rows")
-    f = m._factor
-    if f is None:
-        f = m._factor = _Factorization(m)
-    acc: dict[int, Fraction] = {}
-    for k, e in enumerate(b):
-        if e:
-            e = _as_fraction(e)
-            for p, c in f.columns[k]:
-                acc[p] = acc.get(p, _ZERO) + c * e
-    x = [_ZERO] * m.cols
-    for p, s in acc.items():
-        if s:
-            if p >= m.cols:
-                return None
-            x[p] = s
+    rows = m._column_echelon
+    if rows is None:
+        rows = m._column_echelon = {}
+        for j, col in enumerate(m.transpose().sparse):
+            _insert(rows, {**col, -1 - j: _ONE}, min)
+    return tag_coordinates(_reduce(rows, _sparse(b)), m.cols)
+
+
+def tag_coordinates(residual: dict, n: int) -> list[Fraction] | None:
+    """The coefficients x of a vector b in n vectors inserted with the tags
+    -1 - j, read off b's residual against their echelon: x[j] is minus its
+    entry at -1 - j. None when the residual keeps an index >= 0, that is,
+    when b is not in their span."""
+    x = [_ZERO] * n
+    for k, c in residual.items():
+        if k >= 0:
+            return None
+        x[-1 - k] = -c
     return x
 
 
@@ -348,18 +334,15 @@ class SubspaceReducer:
     ``{index: Fraction}`` dicts, each 1 at its pivot and 0 at every other
     row's pivot. ``residual`` reduces a vector against them, ``add``
     inserts an independent vector; both take a dict or a dense vector. A
-    new row pivots on its first nonzero index, scanning from 0 up, or from
-    dim - 1 down with ``descending=True``. The unit vectors at the indices
-    without a pivot span a canonical complement of the subspace: the large
-    indices, or with ``descending=True`` the small ones. Used for greedy
-    complement selection and span comparisons.
+    new row pivots on its largest index, so the unit vectors at the small
+    indices without a pivot span a canonical complement of the subspace.
+    Used for greedy complement selection and span comparisons.
     """
 
-    def __init__(self, dim: int, descending: bool = False):
+    def __init__(self, dim: int):
         self.dim = dim
         # pivot -> row, in the order the rows were added
         self._rows: dict[int, dict[int, Fraction]] = {}
-        self._first = max if descending else min
 
     @property
     def rows(self) -> list[dict[int, Fraction]]:
@@ -393,7 +376,7 @@ class SubspaceReducer:
         v = _sparse(vec)
         if tag is not None:
             v.update(_sparse(tag))
-        return _insert(self._rows, v, self._first)
+        return _insert(self._rows, v, max)
 
 
 def _reduce(rows: dict, v: dict) -> dict:

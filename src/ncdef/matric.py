@@ -4,19 +4,19 @@ generators, two-sided quotients, small surjections, commutativization.
 Basis words of the truncated free algebra are the idempotents e_1..e_p and
 the composable generator paths of length < N (paths of length >= N vanish).
 Quotients keep a canonical monomial basis: the ideal subspace is echelonized
-by a ``linalg.SubspaceReducer`` that pivots on the largest word first
-(``descending=True``), so the surviving complement words are the small ones
-(for the commutator ideal on t1, t2 the class of t1*t2 = t2*t1 is stored as
-t1*t2). Elements reach the echelon as sparse ``{word index: coefficient}``
-dicts (``MatricTruncatedFree.sparse``), so no step of a quotient builds a
-vector as long as the free algebra.
+by a ``linalg.SubspaceReducer``, which pivots on the largest word, so the
+surviving complement words are the small ones (for the commutator ideal on
+t1, t2 the class of t1*t2 = t2*t1 is stored as t1*t2). Elements reach the
+echelon as sparse ``{word index: coefficient}`` dicts
+(``MatricTruncatedFree.sparse`` and ``MatricArtin.sparse``), so no step of
+a quotient or a small surjection builds a vector as long as the algebra.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Matrix, SubspaceReducer, axpy, format_terms, solve
+from .linalg import SubspaceReducer, axpy, format_terms, tag_coordinates
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -230,7 +230,7 @@ class MatricArtin:
         self.p = free.p
         self.name = name
         self.ideal_generators = list(ideal_generators)
-        ech = SubspaceReducer(free.dim, descending=True)
+        ech = SubspaceReducer(free.dim)
         for g in self.ideal_generators:
             if any(free.word_length(w) == 0 for w in g.coeffs):
                 raise MatricError("ideal generator outside the radical")
@@ -313,12 +313,6 @@ class MatricArtin:
                 axpy(out, cu * cv, self.word_product(u, v))
         return MatricElement(self, out)
 
-    def vector(self, elem: MatricElement) -> list:
-        v = [_ZERO] * self.dim
-        for w, c in elem.coeffs.items():
-            v[self.qindex[w]] = c
-        return v
-
     def sparse(self, elem: MatricElement) -> dict:
         """Sparse coordinates {quotient basis index: coefficient}."""
         qindex = self.qindex
@@ -328,7 +322,7 @@ class MatricArtin:
 
     def radical_basis(self, min_order: int = 1) -> list[MatricElement]:
         """Basis of I(R)^min_order as a subspace of the quotient."""
-        ech = SubspaceReducer(self.dim, descending=True)
+        ech = SubspaceReducer(self.dim)
         out = []
         for w in self.free.radical_words(min_order):
             e = self.reduce(self.free.element({w: _ONE}))
@@ -386,18 +380,16 @@ class SmallSurjection:
                 raise MatricError("target is not a further quotient of source")
         self.source = source
         self.target = target
-        ech = SubspaceReducer(source.dim, descending=True)
+        # each kernel vector carries the tag -1 - k of its index in
+        # kernel_basis, so residuals hold kernel coordinates
+        self._kernel = SubspaceReducer(source.dim)
         kernel = []
         for g in target.ideal_basis():
             e = source.reduce(g)
-            if not e.is_zero() and ech.add(source.sparse(e)):
+            tag = {-1 - len(kernel): _ONE}
+            if not e.is_zero() and self._kernel.add(source.sparse(e), tag):
                 kernel.append(e)
         self.kernel_basis = kernel
-        # one matrix per surjection, so every solve against it reuses one
-        # factorization; None for a zero kernel
-        self.kernel_matrix = Matrix.from_columns(
-            [source.vector(k) for k in kernel], nrows=source.dim
-        ) if kernel else None
         rad = source.radical_basis(1)
         for k in kernel:
             for r in rad:
@@ -412,11 +404,8 @@ class SmallSurjection:
 
     def kernel_coordinates(self, elem: MatricElement):
         """Coordinates of a kernel element in the kernel basis, or None."""
-        if elem.is_zero():
-            return [_ZERO] * len(self.kernel_basis)
-        if self.kernel_matrix is None:
-            return None
-        return solve(self.kernel_matrix, self.source.vector(elem))
+        residual = self._kernel.residual(self.source.sparse(elem))
+        return tag_coordinates(residual, len(self.kernel_basis))
 
 
 class MatricMorphism:

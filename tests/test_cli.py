@@ -307,12 +307,12 @@ def test_malformed_inputs_exit_one(capsys, tmp_path):
 
 
 def test_internal_errors_surface_instead_of_exiting_one(monkeypatch):
-    from ncdef import cokernels, diagrams, engine, linalg, matric
+    from ncdef import cokernels, diagrams, engine, linalg
 
     def broken(m, b):
         raise KeyError("internal")
 
-    for module in (linalg, cokernels, diagrams, engine, matric):
+    for module in (linalg, cokernels, diagrams, engine):
         monkeypatch.setattr(module, "solve", broken)
     with pytest.raises(KeyError, match="internal"):
         main(["elliptic", "--a", "1", "--b", "1", "--hull-order", "2"])

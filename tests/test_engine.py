@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from ncdef import elliptic, linalg
+from ncdef import elliptic
 from ncdef.elliptic import INCL_13, INCL_23, U1, U2, U3
 from ncdef.engine import (
     EngineContext,
     EngineError,
     TensorElement,
+    UnsupportedDefect,
     _tangent_free,
     _word_elem,
 )
@@ -157,30 +158,23 @@ def test_second_order_obstruction_class_is_commutator(ctx11):
     assert obst.witness is None
 
 
-def test_kernel_components_factor_the_kernel_matrix_once(ctx11, monkeypatch):
+def test_kernel_components_reject_a_defect_outside_a_tensor_k(ctx11):
+    # along T/m^3 -> H2 the kernel is spanned by the words of length 2
     base = m3_base()
     H2 = quotient(base.free, [
         _word_elem(base.free, (i, j)) for i in range(2) for j in range(2)
     ], name="H2")
     surj = SmallSurjection(base, H2)
-    defect = ctx11.validate(ctx11.first_order_datum(base))
-    te = defect.d11[INCL_23]
-    assert not te.is_zero()
-    factored = []
-
-    class Counting(linalg._Factorization):
-        def __init__(self, m):
-            factored.append(m)
-            super().__init__(m)
-
-    monkeypatch.setattr(linalg, "_Factorization", Counting)
-    first = ctx11.kernel_components(te, surj)
-    assert ctx11.kernel_components(te, surj) == first
-    assert len(factored) == 1 and factored[0] is surj.kernel_matrix
-    rebuilt = TensorElement(te.algebra, base)
-    for a, kappa in zip(first, surj.kernel_basis):
-        rebuilt = rebuilt + TensorElement.from_pairs(te.algebra, base, [(a, kappa)])
-    assert rebuilt == te
+    A = ctx11.algebra_of(U1)
+    t1, t2 = base.generator("t1"), base.generator("t2")
+    inside = TensorElement.from_pairs(A, base, [(A.generator("x"), t1 * t2 - t2 * t2)])
+    rebuilt = TensorElement(A, base)
+    for a, kappa in zip(ctx11.kernel_components(inside, surj), surj.kernel_basis):
+        rebuilt = rebuilt + TensorElement.from_pairs(A, base, [(a, kappa)])
+    assert rebuilt == inside
+    outside = inside + TensorElement.from_pairs(A, base, [(A.one(), t1)])
+    with pytest.raises(UnsupportedDefect, match=re.escape("defect does not lie in A (x) K")):
+        ctx11.kernel_components(outside, surj)
 
 
 def test_zero_defect_gives_zero_class_and_zero_witness(ctx11):
@@ -302,8 +296,8 @@ def test_hull_order_five_keeps_the_same_relations(ctx11):
 
 
 def test_hull_step_closes_its_relations_once_they_repeat(ctx11, monkeypatch):
-    # from order 3 on a step finds the relations it started from, so the
-    # ideal that tests them for freshness is the next hull's
+    # each step closes three ideals: T/b, H re-presented and the next hull;
+    # freshness is a span test in T/b, not a fourth quotient
     from ncdef import engine
 
     names = []
@@ -316,7 +310,7 @@ def test_hull_step_closes_its_relations_once_they_repeat(ctx11, monkeypatch):
     monkeypatch.setattr(engine, "quotient", counting)
     result = ctx11.hull_compute(6)
     assert result.relation_strings() == ["t1*t2 - t2*t1"]
-    assert names == ["H2", "T/b2", "H2", "H3", "R",
+    assert names == ["H2", "T/b2", "H2", "H3",
                      "T/b3", "H3", "H4", "T/b4", "H4", "H5", "T/b5", "H5", "H6"]
 
 

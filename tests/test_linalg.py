@@ -231,7 +231,7 @@ def test_rref_is_idempotent():
         assert r2 == r and pivots2 == pivots
 
 
-# --- the factored solve ----------------------------------------------------------
+# --- solve against the tagged column echelon ------------------------------------
 
 
 def _reference_rref(rows):
@@ -379,16 +379,15 @@ def test_matrix_eliminations_do_not_enter_subspace_reducer_add(monkeypatch):
 def test_subspace_reducer_pivot_order():
     e = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
     e0_plus_e3 = [a + b for a, b in zip(e[0], e[3])]
-    for descending, pivots, complement in ((True, [3, 1], [0, 2]),
-                                           (False, [0, 1], [2, 3])):
-        red = SubspaceReducer(4, descending=descending)
-        assert red.add(e0_plus_e3) and red.add(e[1])
-        assert not red.add([2 * a - b for a, b in zip(e0_plus_e3, e[1])])
-        assert red.pivots == pivots
-        # the indices without a pivot complement the subspace
-        assert [i for i in range(4) if i not in red.pivots] == complement
-        assert all(red.add(e[i]) for i in complement)
-        assert red.rank == 4
+    red = SubspaceReducer(4)
+    assert red.add(e0_plus_e3) and red.add(e[1])
+    assert not red.add([2 * a - b for a, b in zip(e0_plus_e3, e[1])])
+    assert red.pivots == [3, 1]
+    # the small indices without a pivot complement the subspace
+    complement = [i for i in range(4) if i not in red.pivots]
+    assert complement == [0, 2]
+    assert all(red.add(e[i]) for i in complement)
+    assert red.rank == 4
 
 
 def test_subspace_reducer_rank_and_membership_match_rref_and_solve():
@@ -404,14 +403,13 @@ def test_subspace_reducer_rank_and_membership_match_rref_and_solve():
         span = Matrix.from_columns(vectors, nrows=dim)
         probes = [list(_random_matrix(rng, 1, dim).row(0)) for _ in range(3)]
         probes.append(span.apply([Fraction(rng.randint(-2, 2)) for _ in vectors]))
-        for descending in (False, True):
-            red = SubspaceReducer(dim, descending=descending)
-            for v in vectors:
-                red.add(v)
-            assert red.rank == rank(span)
-            for b in probes:
-                assert red.contains(b) == (solve(span, b) is not None)
-                outcomes.add(red.contains(b))
+        red = SubspaceReducer(dim)
+        for v in vectors:
+            red.add(v)
+        assert red.rank == rank(span)
+        for b in probes:
+            assert red.contains(b) == (solve(span, b) is not None)
+            outcomes.add(red.contains(b))
     assert outcomes == {False, True}
 
 
@@ -423,27 +421,26 @@ def test_subspace_reducer_takes_dict_and_dense_vectors_alike():
         if len(vectors) > 1:
             vectors.append([2 * a - b for a, b in zip(vectors[0], vectors[1])])
         probes = [list(_random_matrix(rng, 1, dim).row(0)) for _ in range(3)] + vectors
-        for descending in (False, True):
-            dense = SubspaceReducer(dim, descending=descending)
-            sparse = SubspaceReducer(dim, descending=descending)
-            for v in vectors:
-                as_dict = {k: e for k, e in enumerate(v) if e}
-                assert dense.add(v) == sparse.add(as_dict)
-            assert dense.pivots == sparse.pivots
-            assert dense.rows == sparse.rows
-            for b in probes:
-                as_dict = {k: e for k, e in enumerate(b) if e}
-                res = sparse.residual(as_dict)
-                assert dense.residual(b) == res
-                assert all(res.values()) and set(res) <= set(range(dim))
-                assert dense.contains(b) == sparse.contains(as_dict) == (not res)
-                # the residual is b minus a combination of the rows
-                full = [res.get(k, 0) for k in range(dim)]
-                back = SubspaceReducer(dim, descending=descending)
-                for row in sparse.rows:
-                    back.add(row)
-                assert back.contains([x - y for x, y in zip(b, full)])
-                assert all(res.get(p, 0) == 0 for p in sparse.pivots)
+        dense = SubspaceReducer(dim)
+        sparse = SubspaceReducer(dim)
+        for v in vectors:
+            as_dict = {k: e for k, e in enumerate(v) if e}
+            assert dense.add(v) == sparse.add(as_dict)
+        assert dense.pivots == sparse.pivots
+        assert dense.rows == sparse.rows
+        for b in probes:
+            as_dict = {k: e for k, e in enumerate(b) if e}
+            res = sparse.residual(as_dict)
+            assert dense.residual(b) == res
+            assert all(res.values()) and set(res) <= set(range(dim))
+            assert dense.contains(b) == sparse.contains(as_dict) == (not res)
+            # the residual is b minus a combination of the rows
+            full = [res.get(k, 0) for k in range(dim)]
+            back = SubspaceReducer(dim)
+            for row in sparse.rows:
+                back.add(row)
+            assert back.contains([x - y for x, y in zip(b, full)])
+            assert all(res.get(p, 0) == 0 for p in sparse.pivots)
 
 
 def test_tagged_rows_record_their_combination_of_inserted_vectors():
@@ -453,23 +450,22 @@ def test_tagged_rows_record_their_combination_of_inserted_vectors():
         vectors = [list(_random_matrix(rng, 1, dim).row(0)) for _ in range(rng.randint(1, 6))]
         if len(vectors) > 1:
             vectors.insert(1, [2 * a - b for a, b in zip(vectors[0], vectors[-1])])
-        for descending in (False, True):
-            tagged = SubspaceReducer(dim, descending=descending)
-            plain = SubspaceReducer(dim, descending=descending)
-            for j, v in enumerate(vectors):
-                assert tagged.add(v, {-1 - j: 1}) == plain.add(v)
-            # the vector parts are the untagged echelon, pivots and all
-            assert tagged.pivots == plain.pivots
-            parts = [({k: e for k, e in row.items() if k >= 0},
-                      {k: e for k, e in row.items() if k < 0}) for row in tagged.rows]
-            assert [vec for vec, _tag in parts] == plain.rows
-            for vec, tag in parts:
-                combo = [sum(c * vectors[-1 - k][i] for k, c in tag.items()) for i in range(dim)]
-                assert combo == [vec.get(i, 0) for i in range(dim)]
-            # a residual holds minus the combination of its projection
-            x = [Fraction(rng.randint(-3, 3)) for _ in vectors]
-            b = [sum(c * v[i] for c, v in zip(x, vectors)) for i in range(dim)]
-            res = tagged.residual(b)
-            assert all(k < 0 for k in res)
-            back = [-sum(c * vectors[-1 - k][i] for k, c in res.items()) for i in range(dim)]
-            assert back == b
+        tagged = SubspaceReducer(dim)
+        plain = SubspaceReducer(dim)
+        for j, v in enumerate(vectors):
+            assert tagged.add(v, {-1 - j: 1}) == plain.add(v)
+        # the vector parts are the untagged echelon, pivots and all
+        assert tagged.pivots == plain.pivots
+        parts = [({k: e for k, e in row.items() if k >= 0},
+                  {k: e for k, e in row.items() if k < 0}) for row in tagged.rows]
+        assert [vec for vec, _tag in parts] == plain.rows
+        for vec, tag in parts:
+            combo = [sum(c * vectors[-1 - k][i] for k, c in tag.items()) for i in range(dim)]
+            assert combo == [vec.get(i, 0) for i in range(dim)]
+        # a residual holds minus the combination of its projection
+        x = [Fraction(rng.randint(-3, 3)) for _ in vectors]
+        b = [sum(c * v[i] for c, v in zip(x, vectors)) for i in range(dim)]
+        res = tagged.residual(b)
+        assert all(k < 0 for k in res)
+        back = [-sum(c * vectors[-1 - k][i] for k, c in res.items()) for i in range(dim)]
+        assert back == b

@@ -99,7 +99,7 @@ def test_one_pointed_closure_skips_the_unit_and_spans_the_same_ideal(monkeypatch
     gens = [t1 * t2 - t2 * t1, t1 * t1 * t1]
     unit = free.idempotent(1)
     # the closure a quotient would build with the unit among the factors
-    ech = SubspaceReducer(free.dim, descending=True)
+    ech = SubspaceReducer(free.dim)
     frontier = [g for g in gens if ech.add(free.sparse(g))]
     while frontier:
         frontier = [prod for s in frontier for m in (unit, t1, t2)
@@ -309,11 +309,13 @@ def test_surjection_requires_ideal_inclusion():
 
 
 def test_kernel_coordinates_roundtrip():
+    rng = random.Random(20261019)
     free = two_var_free(3)
     R = quotient(free, [])
     words2 = [free.element({w: Fraction(1)}) for w in free.radical_words(2)]
     S = quotient(free, words2)
     u = SmallSurjection(R, S)
+    assert len(u.kernel_basis) == 4
     t1, t2 = R.generator("t1"), R.generator("t2")
     k = t1 * t2 - t2 * t1
     coords = u.kernel_coordinates(k)
@@ -321,6 +323,22 @@ def test_kernel_coordinates_roundtrip():
     for c, b in zip(coords, u.kernel_basis):
         rebuilt = rebuilt + b.scale(c)
     assert rebuilt == k
+    # random kernel combinations give back their exact coordinates
+    for _ in range(20):
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.5
+             else Fraction(0) for _ in u.kernel_basis]
+        elem = R.zero()
+        for c, b in zip(x, u.kernel_basis):
+            elem = elem + b.scale(c)
+        assert u.kernel_coordinates(elem) == x
+    assert u.kernel_coordinates(R.zero()) == [0] * 4
+    # t1 maps to a nonzero element of S: it has no kernel coordinates
+    assert u.kernel_coordinates(k + t1) is None
+    # a surjection with a zero kernel takes only zero
+    same = SmallSurjection(S, S)
+    assert same.kernel_basis == []
+    assert same.kernel_coordinates(S.zero()) == []
+    assert same.kernel_coordinates(S.generator("t1")) is None
 
 
 # --- morphisms -------------------------------------------------------------------
