@@ -432,10 +432,10 @@ class EngineContext:
             A_j = self.algebra_of(j)
             d_j = self.charts[j].derivation
             U = datum.multiplier(name)
+            dU = U.map_coefficients(d_j)
             rho_psi = datum.psi[i].map_coefficients(rho, A_j)
-            D = U * rho_psi - U.map_coefficients(d_j) - datum.psi[j] * U
-            d11[name] = D
-            self._check_multiplier_shape(datum, name, D)
+            d11[name] = U * rho_psi - dU - datum.psi[j] * U
+            self._check_multiplier_shape(datum, name, U, dU)
         for f, g, comp in self.composable_pairs():
             rho_g = self.restrictions[g]
             A_k = self.target_algebra_of(g)
@@ -444,28 +444,19 @@ class EngineContext:
             d20[(f, g)] = D
         return DefectCochain(d02, d11, d20)
 
-    def _check_multiplier_shape(self, datum, name, D):
-        """Semilinearity on generators agrees with the multiplier form."""
+    def _check_multiplier_shape(self, datum, name, U, dU):
+        """Semilinearity on generators agrees with the multiplier form. Less
+        D rho(g), whose Psi terms cancel, it reads U rho(d_i g) = d_j(U rho(g))
+        - d_j(U) rho(g) on each generator g of A_i (at g = 1 both sides are 0)."""
         i, j = self.endpoints(name)
-        A_i, A_j = self.algebra_of(i), self.algebra_of(j)
+        A_j = self.algebra_of(j)
         rho = self.restrictions[name]
         d_i, d_j = self.charts[i].derivation, self.charts[j].derivation
-        U = datum.multiplier(name)
-
-        def L_phi(v):
-            return U * v.map_coefficients(rho, A_j)
-
-        def L_di(v):
-            return v.map_coefficients(d_i) + datum.psi[i] * v
-
-        def L_dj(v):
-            return v.map_coefficients(d_j) + datum.psi[j] * v
-
-        for gen in [A_i.one()] + A_i.generators():
-            v = TensorElement.from_pairs(A_i, datum.base, [(gen, datum.base.one())])
-            lhs = L_phi(L_di(v)) - L_dj(L_phi(v))
-            rho_v = TensorElement.from_pairs(A_j, datum.base, [(rho(gen), datum.base.one())])
-            if lhs != D * rho_v:
+        one = datum.base.one()
+        for gen in self.algebra_of(i).generators():
+            rho_g = TensorElement.from_pairs(A_j, datum.base, [(rho(gen), one)])
+            rho_dg = TensorElement.from_pairs(A_j, datum.base, [(rho(d_i(gen)), one)])
+            if U * rho_dg != (U * rho_g).map_coefficients(d_j) - dU * rho_g:
                 raise EngineError(
                     f"defect at {name} is not of multiplication type on {gen}"
                 )
@@ -613,9 +604,8 @@ class EngineContext:
             free = _tangent_free(r, n + 1)
             a_basis = [free.element(g.coeffs) for g in H.ideal_basis()]
             a_basis += [free.element({w: _ONE}) for w in free.radical_words(n)]
-            ts = [_word_elem(free, (k,)) for k in range(r)]
-            b_gens = [prod for g in a_basis for t in ts for prod in (t * g, g * t)
-                      if not prod.is_zero()]
+            b_gens = [prod for g in a_basis for t in free.generator_elements
+                      for prod in (t * g, g * t) if not prod.is_zero()]
             Rp = quotient(free, b_gens, name=f"T/b{n}")
             H = quotient(free, a_basis, name=H.name)  # H re-presented in this truncation
             surj = SmallSurjection(Rp, H)

@@ -78,6 +78,9 @@ class MatricTruncatedFree:
         self.basis += sorted([("w", w) for w in words], key=_word_key)
         self.index = {w: k for k, w in enumerate(self.basis)}
         self.dim = len(self.basis)
+        # the generators as elements, in generator order (they generate I)
+        self.generator_elements = [self.element({w: _ONE}) for w in self.basis
+                                   if self.word_length(w) == 1]
 
     def word_row(self, word) -> int:
         kind, data = word
@@ -238,7 +241,7 @@ class MatricArtin:
         # two-sided closure: multiply by idempotents and length-1 generators;
         # for p = 1 the one idempotent is the unit, whose products add nothing
         side = [free.idempotent(i) for i in range(1, free.p + 1)] if free.p > 1 else []
-        side += [free.element({("w", (gi,)): _ONE}) for gi in range(len(free.gens))]
+        side += free.generator_elements
         frontier = list(self.ideal_generators)
         while frontier:
             new = []
@@ -356,8 +359,7 @@ def quotient(free: MatricTruncatedFree, ideal_generators, name="R") -> MatricArt
 def commutativization(R: MatricArtin) -> MatricArtin:
     """Quotient of R by the two-sided ideal generated by all commutators."""
     free = R.free
-    side = [free.idempotent(i) for i in range(1, free.p + 1)]
-    side += [free.element({("w", (gi,)): _ONE}) for gi in range(len(free.gens))]
+    side = [free.idempotent(i) for i in range(1, free.p + 1)] + free.generator_elements
     comms = []
     for a in side:
         for b in side:
@@ -370,7 +372,9 @@ def commutativization(R: MatricArtin) -> MatricArtin:
 
 class SmallSurjection:
     """Canonical projection R -> S of quotients of one free algebra, with
-    K I = I K = 0 verified for K = ker and I = I(R)."""
+    K I = I K = 0 verified for K = ker and I = I(R). Every word of length
+    >= 1 is t w and w t for a generator t, so K t = t K = 0 on the
+    generators decides it."""
 
     def __init__(self, source: MatricArtin, target: MatricArtin):
         if source.free is not target.free:
@@ -390,10 +394,10 @@ class SmallSurjection:
             if not e.is_zero() and self._kernel.add(source.sparse(e), tag):
                 kernel.append(e)
         self.kernel_basis = kernel
-        rad = source.radical_basis(1)
+        ts = [source.reduce(t) for t in source.free.generator_elements]
         for k in kernel:
-            for r in rad:
-                if not source.multiply(k, r).is_zero() or not source.multiply(r, k).is_zero():
+            for t in ts:
+                if not source.multiply(k, t).is_zero() or not source.multiply(t, k).is_zero():
                     raise MatricError(
                         f"not a small surjection: kernel element {k} does not "
                         "annihilate the radical"

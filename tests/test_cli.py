@@ -8,6 +8,9 @@ from ncdef.cli import main
 
 DOCS_DIAGRAM = Path(__file__).resolve().parents[1] / "docs" / "examples" / "elliptic_a1_b1_ext1.json"
 DOCS_CURVE = DOCS_DIAGRAM.with_name("elliptic_a1_b1_curve.json")
+# the cover {U1, U2, V = U2[1/x]} closed under intersections: 5 charts, 7 arrows
+DOCS_REFINED_CURVE = DOCS_DIAGRAM.with_name("elliptic_a1_b1_refined_curve.json")
+DOCS_REFINED_DIAGRAM = DOCS_DIAGRAM.with_name("elliptic_a1_b1_refined_ext1.json")
 
 
 def run_cli(args, capsys):
@@ -80,17 +83,18 @@ def test_cohomology_rejects_malformed_file(capsys, tmp_path):
 
 
 def test_worked_export_is_current(tmp_path):
-    # the docs example regenerates byte-identically from the pipeline
+    # each docs example regenerates byte-identically from the pipeline
     from ncdef import elliptic
     from ncdef.cokernels import build_ext_diagram
-    from ncdef.diagram_io import dump_functor
+    from ncdef.diagram_io import Curve, dump_functor
 
-    cfg = elliptic.build(1, 1)
-    diagram = build_ext_diagram(cfg.poset, cfg.charts, cfg.restrictions,
-                                preferred_reps=cfg.ext1)
-    fresh = tmp_path / "fresh.json"
-    dump_functor(cfg.poset, diagram.functor, fresh)
-    assert fresh.read_text() == DOCS_DIAGRAM.read_text()
+    refined = Curve(json.loads(DOCS_REFINED_CURVE.read_text()))
+    for cfg, export in ((elliptic.build(1, 1), DOCS_DIAGRAM), (refined, DOCS_REFINED_DIAGRAM)):
+        diagram = build_ext_diagram(cfg.poset, cfg.charts, cfg.restrictions,
+                                    preferred_reps=cfg.ext1)
+        fresh = tmp_path / "fresh.json"
+        dump_functor(cfg.poset, diagram.functor, fresh)
+        assert fresh.read_text() == export.read_text()
 
 
 def test_hull_subcommand(capsys, tmp_path):
@@ -115,18 +119,26 @@ def test_shipped_curve_config_is_current():
 
 
 def test_curve_config_runs_like_the_elliptic_kind(capsys, tmp_path):
+    from ncdef import elliptic
+    from ncdef.diagram_io import Curve
+
     elliptic_config = tmp_path / "elliptic.json"
     elliptic_config.write_text(json.dumps({"schema": "ncdef-hull/1", "kind": "elliptic",
                                            "a": "1", "b": "1"}))
     payloads = []
-    for config in (elliptic_config, DOCS_CURVE):
+    for config in (elliptic_config, DOCS_CURVE, DOCS_REFINED_CURVE):
         code, out, err = run_cli(["hull", str(config), "--format", "json"], capsys)
         assert code == 0, err
         payloads.append(json.loads(out))
-    by_kind, by_charts = payloads
-    assert by_charts["input"] == {"hull_order": 4, "dmax": 24}
-    assert by_charts["hull"] == by_kind["hull"]
-    assert by_charts["verdicts"] == by_kind["verdicts"]
+    by_kind, *by_charts = payloads
+    for payload in by_charts:
+        assert payload["input"] == {"hull_order": 4, "dmax": 24}
+        assert payload["hull"] == by_kind["hull"]
+        assert payload["verdicts"] == by_kind["verdicts"]
+    # the refined cover has chains, so validate's composition defect runs on them
+    refined = elliptic.build_context(Curve(json.loads(DOCS_REFINED_CURVE.read_text())))
+    assert refined.hh.dims == (1, 2, 1)
+    assert len(refined.composable_pairs()) == 3
     code, out, _err = run_cli(["hull", str(DOCS_CURVE)], capsys)
     assert code == 0
     assert "Input: hull order 4, dmax 24." in out
@@ -263,8 +275,8 @@ def test_cohomology_rejects_a_perturbed_arrow_matrix(capsys, tmp_path):
 
 
 def test_cohomology_rejects_a_non_functorial_diagram(capsys, tmp_path):
-    # the shipped example has no composable pair of non-identity arrows, so
-    # only a longer chain a -> b -> c can break functoriality itself
+    # a chain a -> b -> c, and the refined example's chain U1 -> U12 -> U1V:
+    # an arrow matrix along a composable pair breaks functoriality itself
     from ncdef.diagram_io import dump_functor, load_functor
     from ncdef.diagrams import CategoryError, FiniteCategory, constant_functor
 
@@ -284,6 +296,29 @@ def test_cohomology_rejects_a_non_functorial_diagram(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert message in err
+    data = json.loads(DOCS_REFINED_DIAGRAM.read_text())
+    (entry,) = [m for m in data["maps"]
+                if (m["of"], m["alpha"], m["beta"]) == ("id:U12", "U1>U12", "U12>U1V")]
+    entry["matrix"][0][0] = "2"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["cohomology", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert "functoriality fails: (U1>U12,id:U1V).(id:U12,U12>U1V) at id:U12" in err
+
+
+@pytest.mark.parametrize("example", sorted(DOCS_DIAGRAM.parent.glob("*.json")),
+                         ids=lambda path: path.name)
+def test_every_shipped_example_runs(capsys, example):
+    # curve configurations through `ncdef hull`, diagrams through `ncdef cohomology`
+    data = json.loads(example.read_text())
+    if data.get("kind") == "curve":
+        command = "hull"
+    else:
+        assert data["schema"] == "ncdef-diagram/1", "an example of no known kind"
+        command = "cohomology"
+    code, out, err = run_cli([command, str(example)], capsys)
+    assert code == 0, err
+    assert out
 
 
 def test_malformed_inputs_exit_one(capsys, tmp_path):

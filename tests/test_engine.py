@@ -120,6 +120,19 @@ def test_first_order_datum_validates_both_regimes(ctx11, ctx01):
         assert ctx.validate(datum).is_zero()
 
 
+def test_validate_rejects_a_restriction_that_anti_intertwines(ctx11, monkeypatch):
+    # (x, y) -> (x, -y) respects the cubic but sends d_U2 to -d_U3, so the
+    # semilinearity identity leaves the multiplier form on x
+    from ncdef.algebra import AlgebraMorphism
+
+    flip = AlgebraMorphism(ctx11.algebra_of(U2), ctx11.algebra_of(U3),
+                           {"x": "x", "y": "-y"}, name=INCL_23)
+    monkeypatch.setattr(ctx11, "restrictions", {**ctx11.restrictions, INCL_23: flip})
+    with pytest.raises(EngineError, match=f"defect at {INCL_23} is not of "
+                                          "multiplication type on x"):
+        ctx11.validate(ctx11.first_order_datum(h2_base()))
+
+
 def test_naive_second_order_defect_is_commutator_shaped(ctx11):
     # over T/m^3, adding the square/2 restriction term leaves exactly the
     # commutator defect -tau (x) (t1*t2 - t2*t1) on the deformed inclusion

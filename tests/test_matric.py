@@ -287,6 +287,12 @@ def test_small_surjection_accepted():
     t1 = R.generator("t1")
     assert u.apply(t1 * t1).is_zero()
     assert not u.apply(t1).is_zero()
+    # p = 2, with a: 1 -> 2 and b: 2 -> 1: the length-3 paths aba and bab
+    # times a generator are paths of length 4 or not composable
+    free = free_on(2, [("a", 1, 2), ("b", 2, 1)], 4)
+    a, b = free.generator("a"), free.generator("b")
+    u = SmallSurjection(quotient(free, []), quotient(free, [a * b * a, b * a * b]))
+    assert len(u.kernel_basis) == 2
 
 
 def test_non_small_surjection_rejected():
@@ -297,6 +303,66 @@ def test_non_small_surjection_rejected():
     S = quotient(free, [t * t])
     with pytest.raises(MatricError, match="not a small surjection"):
         SmallSurjection(R, S)
+    # p = 2: the kernel of k^2<a, b>/m^4 -> k^2<a, b>/(m^4, ab) holds ab,
+    # and ab * a = aba != 0 in the source
+    free = free_on(2, [("a", 1, 2), ("b", 2, 1)], 4)
+    a, b = free.generator("a"), free.generator("b")
+    with pytest.raises(MatricError, match="not a small surjection"):
+        SmallSurjection(quotient(free, []), quotient(free, [a * b]))
+
+
+def test_surjection_rejected_when_one_side_fails_on_one_generator():
+    # in R = k<t1,t2>/(m^4, t1t1t1, t1t1t2) the kernel of R -> R/(t1t1) holds
+    # t1t1, and of its products with a generator only t2 * t1t1 is nonzero;
+    # with t2t1t1 in place of t1t1t2 only t1t1 * t2 is
+    free = two_var_free(4)
+    t1, t2 = free.generator("t1"), free.generator("t2")
+    S = quotient(free, [t1 * t1])
+    for third, left, right in ((t1 * t1 * t2, [True, False], [True, True]),
+                               (t2 * t1 * t1, [True, True], [True, False])):
+        R = quotient(free, [t1 * t1 * t1, third])
+        k = R.reduce(t1 * t1)
+        assert [(R.reduce(t) * k).is_zero() for t in (t1, t2)] == left
+        assert [(k * R.reduce(t)).is_zero() for t in (t1, t2)] == right
+        with pytest.raises(MatricError, match="not a small surjection"):
+            SmallSurjection(R, S)
+
+
+def _annihilates_the_radical(R, S):
+    """The smallness condition checked against the whole radical basis."""
+    kernel = [R.reduce(g) for g in S.ideal_basis()]
+    return all((k * r).is_zero() and (r * k).is_zero()
+               for k in kernel for r in R.radical_basis(1))
+
+
+def test_generator_smallness_agrees_with_the_radical_basis_check():
+    rng = random.Random(20261019)
+    outcomes = []
+    for _ in range(60):
+        p = rng.choice([1, 2])
+        if p == 1:
+            free = free_on(1, [("t1", 1, 1), ("t2", 1, 1)], 4)
+        else:
+            free = free_on(2, [("a", 1, 2), ("b", 2, 1), ("c", 1, 1)], 4)
+
+        def random_radical_element(min_length):
+            words = free.radical_words(min_length)
+            picks = rng.sample(words, min(len(words), rng.randint(1, 3)))
+            return free.element({w: Fraction(rng.randint(1, 3)) for w in picks})
+
+        R = quotient(free, [random_radical_element(2) for _ in range(rng.randint(0, 2))])
+        extra = [random_radical_element(rng.choice([2, 3])) for _ in range(rng.randint(1, 2))]
+        S = quotient(free, list(R.ideal_generators) + extra)
+        expected = _annihilates_the_radical(R, S)
+        try:
+            SmallSurjection(R, S)
+            accepted = True
+        except MatricError as err:
+            assert "not a small surjection" in str(err)
+            accepted = False
+        assert accepted == expected
+        outcomes.append(accepted)
+    assert 10 <= sum(outcomes) <= 50
 
 
 def test_surjection_requires_ideal_inclusion():
