@@ -607,14 +607,23 @@ class Derivation:
         e = self.algebra.normal_form(e)
         return self._apply_poly(e.terms)
 
-    def degree_shift(self, probe_degree: int = 6) -> int:
-        """Max degree increase across normal-form monomials up to probe_degree."""
-        shift = 0
-        for m in self.algebra.nf_monomials(probe_degree):
-            img = self(self.algebra.monomial_element(m))
-            if not img.is_zero():
-                shift = max(shift, img.degree() - self.algebra.degree(m))
-        return shift
+    def degree_shift(self) -> int:
+        """A bound on deg d(m) - deg m over all monomials m, read off the
+        generator images: the largest deg mu - 1 over the monomials mu of
+        d(x_k), where for the inverted x_k the exponent mu_k counts as
+        |mu_k - 1| + 1.
+
+        The term of d(m) from x_k is a multiple of m * mu / x_k, of degree
+        at most deg m plus that bound, since |a + b| <= |a| + |b| on the
+        inverted exponent; normal forms never raise the degree, because
+        the Groebner leading monomials avoid the inverted variable.
+        """
+        A = self.algebra
+        inv = A._inv_index
+        return max((A.degree(mu) - 1 if k != inv
+                    else abs(mu[k] - 1) + A.degree(mu) - abs(mu[k])
+                    for k, v in enumerate(A.variables)
+                    for mu in self.images[v].terms), default=0)
 
     def __repr__(self):
         return f"Derivation({self.name} on {self.algebra.name})"

@@ -10,9 +10,13 @@ derivation preimage (the witness).
 
 Both read one incremental echelon per chart. The images of the source
 monomials enter it in degree order, as the stages ask for more, and each
-row carries the source combination it is the image of. Stage d reads the
-rows that lie in degrees <= d, and ``reduce`` reads the witness off the
-tags of the reduction, so no stage re-eliminates what an earlier one did.
+row carries the source combination it is the image of. The derivation's
+degree shift, a bound read off its generator images, says how far above
+its source each image can reach, so every image fits its window. Stage d
+reads the rows that lie in degrees <= d, so no stage re-eliminates what
+an earlier one did. For each degree it reads at, ``reduce`` adds the
+representatives, tagged, to those rows once, and then reads coordinates
+and witness off the tags of one residual.
 
 The degenerate curve identification packages the global answer:
 HH^0 is H^0 of the constant functor, HH^n is H^(n-1) of the Ext^1 diagram
@@ -24,17 +28,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import (
-    AlgebraElement,
-    AlgebraError,
-    Derivation,
-    PresentedAlgebra,
-    TruncationEscape,
-)
+from .algebra import AlgebraElement, AlgebraError, Derivation, PresentedAlgebra
 from .diagrams import FiniteCategory, MorFunctor, build_resolving_complex
-# kernel_basis is no longer called here but stays bound: the pipeline
-# benchmark's tracer test checks that tracing patches this binding
-from .linalg import Matrix, SubspaceReducer, axpy, kernel_basis, solve  # noqa: F401
+# kernel_basis and solve are not called here but stay bound: the pipeline
+# benchmark's tracer test checks that tracing patches these bindings
+from .linalg import Matrix, SubspaceReducer, kernel_basis, solve, tag_coordinates  # noqa: F401
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -112,6 +110,9 @@ class CokernelPresentation:
     prefix, and a row pivots on its largest index: the rows pivoting below
     |A_{<=d}| span the image inside A_{<=d}. Each row carries, under the
     tag index -1 - j of source j, the source combination whose image it is.
+    ``reduce`` reads a copy of those rows completed by the representatives
+    (``_table``), built for d_star on construction and for a larger degree
+    when an element first needs it; later insertions leave it unchanged.
     """
 
     def __init__(self, algebra: PresentedAlgebra, derivation: Derivation,
@@ -125,7 +126,7 @@ class CokernelPresentation:
             if len(e.terms) != 1 or next(iter(e.terms.values())) != 1:
                 raise AlgebraError(f"preferred representative {cand!r} is not a monomial")
             self.preferred.append(next(iter(e.terms)))
-        self._shift = max(1, derivation.degree_shift(min(6, d_start)))
+        self._shift = max(1, derivation.degree_shift())
         self._margin = self._shift + 4
         self._stages: dict[int, list] = {}
         # target monomials by index, and the index of each
@@ -135,9 +136,8 @@ class CokernelPresentation:
         self._sources: list[tuple] = []
         self._source_degree = -1
         self._image = SubspaceReducer(0)
-        # the echelon rank the representatives' residual system was built at,
-        # and that system
-        self._rep_system = None
+        # degree -> the echelon that reduce reads there (see _table)
+        self._tables: dict[int, tuple] = {}
         reps = None
         self.d_star = None
         for d in range(d_start, d_max - 1):
@@ -150,30 +150,18 @@ class CokernelPresentation:
             raise NoStabilization(d_max, f"chart {algebra.name}")
         self.reps = reps
         self.rep_labels = [algebra.format_monomial(m) for m in reps]
+        self._table(self.d_star)
 
     # -- the image echelon ----------------------------------------------------
 
     def _extend(self, d_in: int) -> None:
         """Insert the images of the source monomials of degree <= d_in that
-        are not in yet. An image must lie in degree <= d_in + shift; if one
-        escapes, the shift grows and later stages use the larger margin."""
+        are not in yet. The derivation raises no degree by more than the
+        shift, so each image lies in degree <= d_in + shift."""
         if d_in <= self._source_degree:
             return
         sources = self.algebra.nf_monomials(d_in)
-        new = sources[len(self._sources):]
-        shift = self._shift
-        while True:
-            try:
-                images = self._images(new, d_in + shift)
-                break
-            except TruncationEscape:
-                shift += 1
-                if d_in + shift > self.d_max + self._margin + 8:
-                    raise NoStabilization(self.d_max, "derivation shift runaway")
-        if shift != self._shift:
-            self._shift = shift
-            self._margin = shift + 4
-            self._stages.clear()
+        images = self._images(sources[len(self._sources):], d_in + self._shift)
         for j, image in enumerate(images, len(self._sources)):
             # an image that reduces to zero leaves a free source, not a row
             self._image.add(image, {-1 - j: _ONE})
@@ -182,7 +170,7 @@ class CokernelPresentation:
 
     def _images(self, sources, d_out: int) -> list[dict]:
         """The derivation's images of the sources on the target indices of
-        degree <= d_out; raises TruncationEscape for one that does not fit."""
+        degree <= d_out; an image that does not fit breaks the shift bound."""
         targets = self.algebra.nf_monomials(d_out)
         ids = self._ids
         for m in targets[len(self._targets):]:
@@ -197,8 +185,9 @@ class CokernelPresentation:
             for mm, c in self.derivation.monomial_image(m).items():
                 i = ids.get(mm, limit)
                 if i >= limit:
-                    raise TruncationEscape(
-                        f"image of {self.algebra.format_monomial(m)} contains "
+                    raise CertificationError(
+                        f"degree shift {self._shift} fails: the image of "
+                        f"{self.algebra.format_monomial(m)} contains "
                         f"{self.algebra.format_monomial(mm)} of degree "
                         f"{self.algebra.degree(mm)} > {d_out}"
                     )
@@ -256,11 +245,9 @@ class CokernelPresentation:
 
         Extends the truncation window if e is too big, re-checking that the
         stored representatives stay a complement (NoStabilization otherwise).
-        The residual of e against the image echelon is the combination of
-        the representatives' residuals with coefficients ``coords``, and the
-        witness is minus e's tag plus that combination of their tags. This
-        is the RREF solution of [reps | D] with the free sources zero, so
-        the sources inserted for a larger element leave it unchanged.
+        The residual of e against the table of its degree holds only tags:
+        minus the coordinates at the representatives' tags and minus the
+        witness at the sources'.
         """
         e = self.algebra.normal_form(e)
         d = max(self.d_star, e.degree())
@@ -269,51 +256,37 @@ class CokernelPresentation:
                 raise NoStabilization(self.d_max, f"element of degree {d}")
             if self._rep_monomials(d) != self.reps:
                 raise NoStabilization(self.d_max, "window extension changed the basis")
-        ids = self._ids
-        residual = self._image.residual({ids[m]: c for m, c in e.terms.items()})
-        system, index, rep_tags = self._rep_residuals()
-        vec = [_ZERO] * len(index)
-        witness = {}
-        for j, c in residual.items():
-            if j < 0:
-                witness[j] = -c
-            elif j in index:
-                vec[index[j]] = c
-            else:
-                raise NoStabilization(self.d_max, "element not covered by the window")
-        coords = solve(system, vec)
-        if coords is None:
-            raise NoStabilization(self.d_max, "element not covered by the window")
-        for c, tag in zip(coords, rep_tags):
-            if c:
-                axpy(witness, c, tag)
-        sources = self._sources
+        table, n_src = self._table(d)
+        x = tag_coordinates(table.residual({self._ids[m]: c for m, c in e.terms.items()}),
+                            n_src + len(self.reps))
+        coords = x[n_src:]
         witness = self.algebra.normal_form(
-            {sources[-1 - j]: witness[j] for j in sorted(witness, reverse=True)}
-        )
+            {m: c for m, c in zip(self._sources, x[:n_src]) if c})
         if self.derivation(witness) != e - self.class_element(coords):
             raise CertificationError(
                 f"reduction witness fails d(witness) = e - sum coords*reps on {e}"
             )
         return Reduction(coords, witness)
 
-    def _rep_residuals(self) -> tuple[Matrix, dict, list]:
-        """The representatives' residuals against the image echelon: their
-        vector parts as the columns of a matrix on the target indices that
-        ``index`` lists, and their tags; rebuilt when the echelon grows."""
-        image = self._image
-        if self._rep_system is None or self._rep_system[0] != image.rank:
-            columns, tags = [], []
-            for m in self.reps:
-                residual = image.residual({self._ids[m]: _ONE})
-                columns.append({j: c for j, c in residual.items() if j >= 0})
-                tags.append({j: c for j, c in residual.items() if j < 0})
-            index = {j: i for i, j in enumerate(sorted({j for col in columns for j in col}))}
-            system = Matrix.from_sparse(
-                len(columns), len(index),
-                [{index[j]: c for j, c in col.items()} for col in columns]).transpose()
-            self._rep_system = (image.rank, system, index, tags)
-        return self._rep_system[1:]
+    def _table(self, d: int) -> tuple[SubspaceReducer, int]:
+        """The echelon that ``reduce`` reads at degree d, built once, and the
+        number S of sources it knows. It holds the image rows pivoting in
+        A_{<=d}, tagged with their sources, and the unit vector of rep k,
+        tagged -1 - S - k; certified to span A_{<=d}."""
+        if d not in self._tables:
+            n = len(self.algebra.nf_monomials(d))
+            n_src = len(self._sources)
+            table = SubspaceReducer(n)
+            for p, row in zip(self._image.pivots, self._image.rows):
+                if p < n:
+                    table.add(row)
+            for k, m in enumerate(self.reps):
+                table.add({self._ids[m]: _ONE}, {-1 - n_src - k: _ONE})
+            if table.rank != n:
+                raise NoStabilization(
+                    self.d_max, f"representatives and image do not span degree {d}")
+            self._tables[d] = (table, n_src)
+        return self._tables[d]
 
     def class_element(self, coords) -> AlgebraElement:
         out = self.algebra.zero()

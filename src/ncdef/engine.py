@@ -699,7 +699,7 @@ class EngineContext:
                         block[index[mono]][off + col] += c
             rows.extend(block)
 
-        shift = max(1, max(self.charts[o].derivation.degree_shift(4)
+        shift = max(1, max(self.charts[o].derivation.degree_shift()
                            for o in self.poset.objects))
         factor = self._restriction_degree_factor()
         d_eq = max(d_tau + shift, factor * max(d_psi, d_tau)) + 2

@@ -1,9 +1,12 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from ncdef import elliptic
 from ncdef.algebra import (
     AlgebraError,
     AlgebraMorphism,
@@ -20,7 +23,10 @@ from ncdef.algebra import (
     s_polynomial,
     truncated_operator_matrix,
 )
+from ncdef.diagram_io import Curve
 from ncdef.linalg import Matrix, kernel_basis, rank
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 
 def chart_A1(a, b):
@@ -156,6 +162,46 @@ def test_derivation_on_inverted_variable():
     # d(y^-1) = -y^-2 d(y) = (3x^2 + a) y^-2
     got = d3(A.normal_form("y^-1"))
     assert got == A.normal_form("3*x^2*y^-2 + y^-2")
+
+
+def _shift_bound_charts():
+    """Every chart of the shipped curve configurations, the charts of three
+    seeded elliptic curves, and Q[t, t^-1] with d(t) = t^2 + t^-1, whose
+    d(t^-1) = -1 - t^-3 raises the degree by 2."""
+    for path in sorted(EXAMPLES.glob("*_curve.json")):
+        for label, chart in Curve(json.loads(path.read_text())).charts.items():
+            yield f"{path.name}:{label}", chart.derivation
+    rng = random.Random(41)
+    seeded = 0
+    while seeded < 3:
+        a, b = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
+        try:
+            cfg = elliptic.build(a, b)
+        except elliptic.SingularCurve:
+            continue
+        seeded += 1
+        for label, chart in cfg.charts.items():
+            yield f"({a}, {b}):{label}", chart.derivation
+    A = PresentedAlgebra(["t"], inverted="t", name="Q[t, t^-1]")
+    yield A.name, Derivation(A, {"t": "t^2 + t^-1"})
+
+
+def test_degree_shift_bounds_every_monomial_and_is_attained():
+    # the bound is read off the generator images; compare it with the
+    # actual degree increase on every normal-form monomial up to degree 12
+    shifts = {}
+    for name, d in _shift_bound_charts():
+        A = d.algebra
+        bound = d.degree_shift()
+        increases = [max(A.degree(mm) for mm in image) - A.degree(m)
+                     for m in A.nf_monomials(12) if (image := d.monomial_image(m))]
+        assert max(increases) == bound, name
+        shifts[name] = bound
+    assert len(shifts) == 22
+    assert shifts["Q[t, t^-1]"] == 2
+    assert shifts["gm_curve.json:U"] == 0
+    assert shifts["genus2_affine_curve.json:U"] == 3
+    assert [shifts[f"elliptic_a1_b1_curve.json:{c}"] for c in ("U1", "U2", "U3")] == [1, 1, 3]
 
 
 def _random_element(A, rng, deg=3, nterms=4):

@@ -321,6 +321,34 @@ def test_every_shipped_example_runs(capsys, example):
     assert out
 
 
+# affine curve configurations and the dimension r of their H^1_dR
+AFFINE_CURVES = {
+    "gm_curve.json": 1,
+    "punctured_cubic_a1_b1_curve.json": 2,
+    "p1_minus_three_points_curve.json": 2,
+    "genus2_affine_curve.json": 4,
+}
+
+
+@pytest.mark.parametrize("name, r", AFFINE_CURVES.items(), ids=list(AFFINE_CURVES))
+def test_affine_curve_hull_is_free_on_its_first_betti_number(capsys, name, r):
+    # de Rham: HH = (1, r, 0) on an affine curve. Its pi_1 is free on r
+    # generators, so the hull is the completed free algebra: no relations,
+    # and r^n words of radical degree n
+    from ncdef import elliptic
+    from ncdef.diagram_io import Curve
+
+    path = DOCS_DIAGRAM.with_name(name)
+    assert elliptic.build_context(Curve(json.loads(path.read_text()))).hh.dims == (1, r, 0)
+    code, out, err = run_cli(["hull", str(path), "--format", "json"], capsys)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["hull"]["relations"] == []
+    orders = range(payload["input"]["hull_order"])
+    assert payload["hull"]["dims_by_radical_degree"] == [r ** n for n in orders]
+    assert payload["verdicts"] == {"hull_versal_zero_defect": True}
+
+
 def test_malformed_inputs_exit_one(capsys, tmp_path):
     data = json.loads(DOCS_DIAGRAM.read_text())
     del data["maps"]
@@ -350,7 +378,9 @@ def test_internal_errors_surface_instead_of_exiting_one(monkeypatch):
     for module in (linalg, cokernels, diagrams, engine):
         monkeypatch.setattr(module, "solve", broken)
     with pytest.raises(KeyError, match="internal"):
-        main(["elliptic", "--a", "1", "--b", "1", "--hull-order", "2"])
+        # reduce does not call solve; at order 3 the obstruction calculus
+        # reaches it through diagrams and engine
+        main(["elliptic", "--a", "1", "--b", "1", "--hull-order", "3"])
 
 
 @pytest.mark.parametrize("where, value, message", [

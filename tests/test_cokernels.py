@@ -8,11 +8,9 @@ from pathlib import Path
 import pytest
 
 import ncdef
-from ncdef import cokernels
 from ncdef.algebra import (
     Derivation,
     PresentedAlgebra,
-    TruncationEscape,
     truncated_operator_matrix,
 )
 from ncdef.cokernels import (
@@ -272,39 +270,18 @@ def test_image_echelon_matches_one_elimination_per_stage():
             assert ck._rep_monomials(d) == _stage_oracle(ck, d) == ck.reps
 
 
-def test_reduce_rebuilds_its_system_after_a_shift_bump(cfg11, monkeypatch):
-    # a probe one below the true shift makes the first window's images
-    # escape: the shift grows by one, and later stages and reduce use the
-    # larger margin
-    chart = cfg11.charts[U3]
-    honest = coker(cfg11, U3)
-    real = Derivation.degree_shift
-    monkeypatch.setattr(Derivation, "degree_shift",
-                        lambda self, probe_degree=6: real(self, probe_degree) - 1)
-    probed = chart.derivation.degree_shift(6)
-    assert probed >= 1
-    escapes = []
-    images = cokernels.CokernelPresentation._images
-
-    def counting(self, sources, d_out):
-        try:
-            return images(self, sources, d_out)
-        except TruncationEscape:
-            escapes.append(d_out)
-            raise
-
-    monkeypatch.setattr(cokernels.CokernelPresentation, "_images", counting)
-    ck = coker(cfg11, U3)
-    # the stage that escaped still read its sources at the old margin
-    assert escapes == [D_START + (probed + 4) + probed]
-    assert ck._margin == probed + 1 + 4 == honest._margin
-    assert ck.reps == honest.reps and ck.d_star == honest.d_star
-    e = ck.algebra.normal_form("15*y^2 + x*y^-9")
-    d = e.degree()
-    assert d > ck.d_star
-    red, again = ck.reduce(e), honest.reduce(e)
-    assert ck._source_degree == d + ck._margin
-    assert red.coords == again.coords and red.witness == again.witness
+def test_table_rejects_representatives_that_miss_the_complement(cfg11):
+    # y = d(-x/2) lies in the image on U2, so reps {1, y} leave y^2 out of
+    # the span: the table certifies its rank instead of returning coordinates
+    ck = coker(cfg11, U2)
+    A = ck.algebra
+    y, y2 = (0, 1), (0, 2)
+    assert A.variables == ("x", "y") and y2 in ck.reps
+    assert ck.derivation(A.normal_form("-1/2*x")) == A.monomial_element(y)
+    ck.reps = [y if m == y2 else m for m in ck.reps]
+    ck._tables.clear()
+    with pytest.raises(NoStabilization, match="do not span degree"):
+        ck._table(ck.d_star)
 
 
 _TAMPER_SCRIPT = """
@@ -318,14 +295,12 @@ chart = cfg.charts["U3"]
 ck = cokernels.cokernel_of_derivation(chart.algebra, chart.derivation,
                                       preferred=cfg.ext1["U3"])
 ck.reduce("15*y^2")
-honest = cokernels.solve
-
-def tampered(m, b):
-    x = honest(m, b)
-    x[0] += 1
-    return x
-
-cokernels.solve = tampered
+# doubling every tag doubles the coordinates and the witness, which then
+# account for 2*e instead of e
+table, _n_src = ck._tables[ck.d_star]
+for row in table.rows:
+    for j in [j for j in row if j < 0]:
+        row[j] *= 2
 try:
     ck.reduce("15*y^2")
 except cokernels.CertificationError:
@@ -335,7 +310,7 @@ except cokernels.CertificationError:
 
 def test_tampered_reduction_raises_under_python_O():
     # the witness check is an exception, so -O keeps it, also for a reduce
-    # served from the cached system
+    # served from the cached table
     env = dict(os.environ, PYTHONPATH=str(Path(ncdef.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-O", "-c", _TAMPER_SCRIPT],
                           capture_output=True, text=True, env=env, timeout=120)
