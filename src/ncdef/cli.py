@@ -168,12 +168,15 @@ def _cmd_hull(args) -> int:
     t0 = time.perf_counter()
     is_elliptic = config["kind"] == "elliptic"
     curve = elliptic.build(*elliptic_coefficients(config)) if is_elliptic else Curve(config)
-    result = elliptic.build_context(curve, d_max=dmax).hull_compute(hull_order)
+    ctx = elliptic.build_context(curve, d_max=dmax)
+    result = ctx.hull_compute(hull_order)
     payload = {"schema": "ncdef/1", "input": {"hull_order": result.order, "dmax": dmax}}
     if is_elliptic:
         payload["input"] = {"a": str(curve.a), "b": str(curve.b), **payload["input"]}
         payload["discriminant"] = str(curve.discriminant)
         payload["regime"] = curve.regime
+    else:
+        payload["hochschild"] = list(ctx.hh.dims)
     payload["hull"] = result.payload()
     payload["verdicts"] = {"hull_versal_zero_defect": result.versal_defect.is_zero()}
     _emit(Report(payload, elapsed=time.perf_counter() - t0), args.format, args.out)

@@ -13,15 +13,18 @@ monomials enter it in degree order, as the stages ask for more, and each
 row carries the source combination it is the image of. The derivation's
 degree shift, a bound read off its generator images, says how far above
 its source each image can reach, so every image fits its window. Stage d
-reads the rows that lie in degrees <= d, so no stage re-eliminates what
-an earlier one did. For each degree it reads at, ``reduce`` adds the
-representatives, tagged, to those rows once, and then reads coordinates
-and witness off the tags of one residual.
+reads the rows that lie in degrees <= d in place: a monomial's residual
+against the echelon is its projection along the image in degree <= d.
+The stage keeps a monomial when that residual is independent of the kept
+ones', and holds the kept residuals, tagged, in an echelon of its own.
+``reduce`` takes one residual against the image and one against that
+echelon, and reads coordinates and witness off its tags.
 
 The degenerate curve identification packages the global answer:
-HH^0 is H^0 of the constant functor, HH^n is H^(n-1) of the Ext^1 diagram
-for n = 1, 2. The identification needs the charts to be curves; their
-one-dimensionality is assumed, not derived.
+HH^0 is H^0 of the constant functor, whose H^1 and H^2 are certified zero,
+and HH^n is H^(n-1) of the Ext^1 diagram for n = 1, 2. The identification
+needs the charts to be curves; their one-dimensionality is assumed, not
+derived.
 """
 
 from __future__ import annotations
@@ -59,6 +62,10 @@ class CertificationError(RuntimeError):
 
 class TangentNotGenerated(AlgebraError):
     """A chart derivation that does not generate the chart's tangent module."""
+
+
+class CoverNotAcyclic(AlgebraError):
+    """A cover whose constant row has cohomology above degree 0."""
 
 
 class ChartData:
@@ -108,11 +115,11 @@ class CokernelPresentation:
     ``nf_monomials`` order as the stages ask for them. Its vector indices
     are the target monomials in that order, so each A_{<=d} is an index
     prefix, and a row pivots on its largest index: the rows pivoting below
-    |A_{<=d}| span the image inside A_{<=d}. Each row carries, under the
-    tag index -1 - j of source j, the source combination whose image it is.
-    ``reduce`` reads a copy of those rows completed by the representatives
-    (``_table``), built for d_star on construction and for a larger degree
-    when an element first needs it; later insertions leave it unchanged.
+    |A_{<=d}| span the image inside A_{<=d}, and no later row that pivots
+    above it changes them. Each row carries, under the tag index -1 - j of
+    source j, the source combination whose image it is. A stage reads the
+    image echelon without adding to it (``_stage``); the only rows it builds
+    are its representatives' residuals.
     """
 
     def __init__(self, algebra: PresentedAlgebra, derivation: Derivation,
@@ -128,7 +135,10 @@ class CokernelPresentation:
             self.preferred.append(next(iter(e.terms)))
         self._shift = max(1, derivation.degree_shift())
         self._margin = self._shift + 4
-        self._stages: dict[int, list] = {}
+        # degree -> (representatives, their residual echelon, sources known)
+        self._stages: dict[int, tuple] = {}
+        # the error of a failed window extension, raised by every later reduce
+        self._refuted = None
         # target monomials by index, and the index of each
         self._targets: list[tuple] = []
         self._ids: dict[tuple, int] = {}
@@ -136,12 +146,10 @@ class CokernelPresentation:
         self._sources: list[tuple] = []
         self._source_degree = -1
         self._image = SubspaceReducer(0)
-        # degree -> the echelon that reduce reads there (see _table)
-        self._tables: dict[int, tuple] = {}
         reps = None
         self.d_star = None
         for d in range(d_start, d_max - 1):
-            window = [self._rep_monomials(dd) for dd in (d, d + 1, d + 2)]
+            window = [self._stage(dd)[0] for dd in (d, d + 1, d + 2)]
             if window[0] == window[1] == window[2]:
                 reps = window[0]
                 self.d_star = d + 2
@@ -150,7 +158,6 @@ class CokernelPresentation:
             raise NoStabilization(d_max, f"chart {algebra.name}")
         self.reps = reps
         self.rep_labels = [algebra.format_monomial(m) for m in reps]
-        self._table(self.d_star)
 
     # -- the image echelon ----------------------------------------------------
 
@@ -195,41 +202,38 @@ class CokernelPresentation:
             out.append(row)
         return out
 
-    def _rep_monomials(self, d: int) -> list[tuple]:
-        """Complement of the image in the degree-d slice, from the sources of
-        degree <= d + margin: preferred candidates first (kept only if
-        independent), then greedy by ascending degree."""
-        if d in self._stages:
-            return self._stages[d]
-        self._extend(d + self._margin)
-        basis = self.algebra.nf_monomials(d)
-        n = len(basis)
-        if self._targets[:n] != basis:
-            raise CertificationError(
-                f"degree-{d} monomials are not a prefix of the target basis"
-            )
-        # the rows pivoting in A_{<=d} are zero above it, and reduced already,
-        # so the reducer takes them without further elimination
-        reducer = SubspaceReducer(n)
-        image = self._image
-        for p, row in zip(image.pivots, image.rows):
-            if p < n:
-                reducer.add({j: e for j, e in row.items() if j >= 0})
-        index = {m: i for i, m in enumerate(basis)}
-        reps = []
+    def _stage(self, d: int) -> tuple[list[tuple], SubspaceReducer, int]:
+        """Stage d, built once: the complement of the image in the degree-d
+        slice, from the sources of degree <= d + margin, preferred candidates
+        first (kept only if independent), then by ascending degree; with the
+        echelon of the kept residuals and the number S of sources known.
 
-        def try_monomial(m):
-            if reducer.add({index[m]: _ONE}):
-                reps.append(m)
-
-        for m in self.preferred:
-            if m in index:
-                try_monomial(m)
-        for m in basis:
-            if m not in reps:
-                try_monomial(m)
-        self._stages[d] = reps
-        return reps
+        A unit vector in A_{<=d} meets only the image rows pivoting below
+        |A_{<=d}|, so its residual is its projection along the image there,
+        and it is kept when that residual is independent of the kept ones'.
+        Rep k's residual keeps its source tags and carries the tag -1 - S - k.
+        The ascending pass skips the image pivots: a pivot's residual lies in
+        the span of the unit vectors at the smaller indices without a pivot,
+        all of them tried before it."""
+        if d not in self._stages:
+            self._extend(d + self._margin)
+            basis = self.algebra.nf_monomials(d)
+            n = len(basis)
+            if self._targets[:n] != basis:
+                raise CertificationError(
+                    f"degree-{d} monomials are not a prefix of the target basis"
+                )
+            n_src = len(self._sources)
+            pivots = set(self._image.pivots)
+            preferred = [i for m in self.preferred if (i := self._ids.get(m, n)) < n]
+            echelon = SubspaceReducer(n)
+            reps = []
+            # each candidate once: a repeat is dependent on its first try
+            for i in dict.fromkeys([*preferred, *(i for i in range(n) if i not in pivots)]):
+                if echelon.add(self._image.residual({i: _ONE}), {-1 - n_src - len(reps): _ONE}):
+                    reps.append(basis[i])
+            self._stages[d] = (reps, echelon, n_src)
+        return self._stages[d]
 
     # -- public API ---------------------------------------------------------------
 
@@ -244,21 +248,28 @@ class CokernelPresentation:
         """Coordinates of [e] in the representative basis, with exact witness.
 
         Extends the truncation window if e is too big, re-checking that the
-        stored representatives stay a complement (NoStabilization otherwise).
-        The residual of e against the table of its degree holds only tags:
-        minus the coordinates at the representatives' tags and minus the
-        witness at the sources'.
+        stored representatives stay a complement (NoStabilization otherwise,
+        then and at every later call). The residual of e against the image
+        and then against the stage's echelon holds only tags: minus the
+        coordinates at the representatives' tags and minus the witness at
+        the sources'.
         """
         e = self.algebra.normal_form(e)
         d = max(self.d_star, e.degree())
-        if d > self.d_star:
-            if d > self.d_max:
-                raise NoStabilization(self.d_max, f"element of degree {d}")
-            if self._rep_monomials(d) != self.reps:
-                raise NoStabilization(self.d_max, "window extension changed the basis")
-        table, n_src = self._table(d)
-        x = tag_coordinates(table.residual({self._ids[m]: c for m, c in e.terms.items()}),
-                            n_src + len(self.reps))
+        if d > self.d_max:
+            raise NoStabilization(self.d_max, f"element of degree {d}")
+        if self._refuted is None:
+            reps, echelon, n_src = self._stage(d)
+            if reps != self.reps:
+                self._refuted = NoStabilization(self.d_max, "window extension changed the basis")
+        if self._refuted is not None:
+            raise self._refuted.with_traceback(None)
+        x = tag_coordinates(
+            echelon.residual(self._image.residual({self._ids[m]: c for m, c in e.terms.items()})),
+            n_src + len(self.reps))
+        if x is None:
+            raise NoStabilization(
+                self.d_max, f"representatives and image do not span degree {d}")
         coords = x[n_src:]
         witness = self.algebra.normal_form(
             {m: c for m, c in zip(self._sources, x[:n_src]) if c})
@@ -267,26 +278,6 @@ class CokernelPresentation:
                 f"reduction witness fails d(witness) = e - sum coords*reps on {e}"
             )
         return Reduction(coords, witness)
-
-    def _table(self, d: int) -> tuple[SubspaceReducer, int]:
-        """The echelon that ``reduce`` reads at degree d, built once, and the
-        number S of sources it knows. It holds the image rows pivoting in
-        A_{<=d}, tagged with their sources, and the unit vector of rep k,
-        tagged -1 - S - k; certified to span A_{<=d}."""
-        if d not in self._tables:
-            n = len(self.algebra.nf_monomials(d))
-            n_src = len(self._sources)
-            table = SubspaceReducer(n)
-            for p, row in zip(self._image.pivots, self._image.rows):
-                if p < n:
-                    table.add(row)
-            for k, m in enumerate(self.reps):
-                table.add({self._ids[m]: _ONE}, {-1 - n_src - k: _ONE})
-            if table.rank != n:
-                raise NoStabilization(
-                    self.d_max, f"representatives and image do not span degree {d}")
-            self._tables[d] = (table, n_src)
-        return self._tables[d]
 
     def class_element(self, coords) -> AlgebraElement:
         out = self.algebra.zero()
@@ -396,12 +387,22 @@ def build_ext_diagram(poset: FiniteCategory, charts: dict, restrictions: dict,
 
 class GlobalHochschild:
     """Degenerate-curve global answer: dims, bases, and the class machinery
-    the obstruction calculus consumes."""
+    the obstruction calculus consumes.
+
+    HH^0 is read off H^0 of the constant (Ext^0) row alone, which holds
+    when that row has no cohomology in degrees 1 and 2; construction
+    certifies it and raises CoverNotAcyclic otherwise."""
 
     def __init__(self, diagram: ExtDiagram, endo_h0: MorFunctor):
         self.diagram = diagram
-        base_rc = build_resolving_complex(diagram.poset, endo_h0, normalized=True, p_max=2)
-        self.hh0 = base_rc.cohomology(0).dim
+        base_rc = build_resolving_complex(diagram.poset, endo_h0, normalized=True, p_max=3)
+        base = [base_rc.cohomology(p).dim for p in range(3)]
+        if base[1] or base[2]:
+            raise CoverNotAcyclic(
+                f"the constant row of the cover has H^1, H^2 of dimensions {base[1]}, "
+                f"{base[2]}; HH^0 reads only its H^0, which needs both to be 0"
+            )
+        self.hh0 = base[0]
         self.complex = build_resolving_complex(
             diagram.poset, diagram.functor, normalized=True, p_max=2
         )

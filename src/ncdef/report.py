@@ -29,6 +29,9 @@ class Report:
             )
             if "discriminant" in p:
                 lines.append(f"Discriminant {p['discriminant']} ({p['regime']} regime).")
+            if "hochschild" in p:
+                dims = ", ".join(str(n) for n in p["hochschild"])
+                lines.append(f"Global cohomology: (HH^0, HH^1, HH^2) = ({dims}).")
             lines.append("")
         if "ext1_bases" in p:
             lines.append("## Ext^1 bases (cokernel representatives)")

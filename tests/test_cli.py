@@ -163,6 +163,27 @@ def test_hull_rejects_p1_with_a_vanishing_derivation(capsys, tmp_path):
                    "generate the unit ideal)\n")
 
 
+# G_m = Q[x, s]/(x*s - 1) four times, glued along identities as a circle:
+# two opens U, V meeting in two components W1, W2. The constant row has
+# H^1 = 1 there, so its H^0 is not HH^0
+_GM = {"variables": ["x", "s"], "relations": ["x*s - 1"], "derivation": {"x": "x", "s": "-s"}}
+CIRCLE_CONFIG = {
+    "schema": "ncdef-hull/1", "kind": "curve",
+    "charts": {label: _GM for label in ("U", "V", "W1", "W2")},
+    "restrictions": {arrow: {"x": "x", "s": "s"}
+                     for arrow in ("U>W1", "U>W2", "V>W1", "V>W2")},
+}
+
+
+def test_hull_rejects_a_cover_whose_constant_row_is_not_acyclic(capsys, tmp_path):
+    config = tmp_path / "circle.json"
+    config.write_text(json.dumps(CIRCLE_CONFIG))
+    code, out, err = run_cli(["hull", str(config)], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("ncdef: the constant row of the cover has H^1, H^2 of dimensions 1, 0; "
+                   "HH^0 reads only its H^0, which needs both to be 0\n")
+
+
 def _curve(edit):
     config = json.loads(DOCS_CURVE.read_text())
     edit(config)
@@ -343,6 +364,7 @@ def test_affine_curve_hull_is_free_on_its_first_betti_number(capsys, name, r):
     code, out, err = run_cli(["hull", str(path), "--format", "json"], capsys)
     assert code == 0, err
     payload = json.loads(out)
+    assert payload["hochschild"] == [1, r, 0]
     assert payload["hull"]["relations"] == []
     orders = range(payload["input"]["hull_order"])
     assert payload["hull"]["dims_by_radical_degree"] == [r ** n for n in orders]

@@ -255,7 +255,7 @@ def test_image_echelon_matches_one_elimination_per_stage():
         ck = cokernel_of_derivation(algebra, derivation, preferred=preferred)
         assert ck._margin == ck._shift + 4
         for d in range(D_START, ck.d_star + 1):
-            assert ck._rep_monomials(d) == _stage_oracle(ck, d), (algebra.name, d)
+            assert ck._stage(d)[0] == _stage_oracle(ck, d), (algebra.name, d)
         monos = algebra.nf_monomials(ck.d_star)
         low = [algebra.normal_form({rng.choice(monos): Fraction(rng.randint(-4, 4), 3)})
                + algebra.normal_form({rng.choice(monos): 1}) for _ in range(4)]
@@ -267,21 +267,45 @@ def test_image_echelon_matches_one_elimination_per_stage():
             coords, witness = _reduce_oracle(ck, e)
             assert red.coords == coords and red.witness == witness, (algebra.name, e)
         for d in (ck.d_star + 1, ck.d_star + 2):
-            assert ck._rep_monomials(d) == _stage_oracle(ck, d) == ck.reps
+            assert ck._stage(d)[0] == _stage_oracle(ck, d) == ck.reps
 
 
-def test_table_rejects_representatives_that_miss_the_complement(cfg11):
-    # y = d(-x/2) lies in the image on U2, so reps {1, y} leave y^2 out of
-    # the span: the table certifies its rank instead of returning coordinates
+def test_reduce_rejects_representatives_that_are_not_the_stage_complement(cfg11):
+    # y = d(-x/2) lies in the image on U2, so reps {1, y} are not the
+    # complement the d_star stage found: reduce refuses them at d_star too
     ck = coker(cfg11, U2)
     A = ck.algebra
     y, y2 = (0, 1), (0, 2)
     assert A.variables == ("x", "y") and y2 in ck.reps
     assert ck.derivation(A.normal_form("-1/2*x")) == A.monomial_element(y)
     ck.reps = [y if m == y2 else m for m in ck.reps]
-    ck._tables.clear()
+    with pytest.raises(NoStabilization, match="changed the basis"):
+        ck.reduce("y^2")
+
+
+def test_reduce_certifies_that_the_stage_spans_its_degree(cfg11):
+    # a stage echelon that lost a representative's row leaves part of the
+    # element behind, which reduce reports instead of reading coordinates
+    ck = coker(cfg11, U2)
+    reps, echelon, n_src = ck._stages[ck.d_star]
+    short = SubspaceReducer(echelon.dim)
+    for row in echelon.rows[:-1]:
+        short.add(row)
+    ck._stages[ck.d_star] = (reps, short, n_src)
     with pytest.raises(NoStabilization, match="do not span degree"):
-        ck._table(ck.d_star)
+        ck.reduce(ck.rep_elements()[-1])
+
+
+def test_a_refuted_window_stays_refuted(cfg11):
+    # reversing the preferred order makes the window extension pick another
+    # complement; the image it inserted must not serve a later reduce
+    ck = coker(cfg11, U3)
+    ck.preferred.reverse()
+    high = ck.algebra.nf_monomials(ck.d_star + 1)[-1]
+    with pytest.raises(NoStabilization, match="changed the basis"):
+        ck.reduce(ck.algebra.monomial_element(high))
+    with pytest.raises(NoStabilization, match="changed the basis"):
+        ck.reduce("15*y^2")
 
 
 _TAMPER_SCRIPT = """
@@ -295,10 +319,10 @@ chart = cfg.charts["U3"]
 ck = cokernels.cokernel_of_derivation(chart.algebra, chart.derivation,
                                       preferred=cfg.ext1["U3"])
 ck.reduce("15*y^2")
-# doubling every tag doubles the coordinates and the witness, which then
-# account for 2*e instead of e
-table, _n_src = ck._tables[ck.d_star]
-for row in table.rows:
+# doubling every tag of the image and of the d_star stage doubles the
+# coordinates and the witness, which then account for 2*e instead of e
+_reps, echelon, _n_src = ck._stages[ck.d_star]
+for row in ck._image.rows + echelon.rows:
     for j in [j for j in row if j < 0]:
         row[j] *= 2
 try:

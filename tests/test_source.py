@@ -14,6 +14,11 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+# the echelons that linalg keeps on its objects: other modules read them
+# through the public pivots, rows and residual only
+_ECHELON_ATTRIBUTES = {"_rows", "_echelon", "_column_echelon"}
+
+
 def test_only_linalg_touches_the_private_linalg_names():
     # one exact linear-algebra core: other modules use its public API only
     found = []
@@ -27,4 +32,6 @@ def test_only_linalg_touches_the_private_linalg_names():
             elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
                   and isinstance(node.value, ast.Name) and node.value.id == "linalg"):
                 found.append(f"{path.name}:{node.lineno} linalg.{node.attr}")
+            elif isinstance(node, ast.Attribute) and node.attr in _ECHELON_ATTRIBUTES:
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert found == []
