@@ -403,11 +403,29 @@ class PresentedAlgebra:
         return _linear_image(poly, self.monomial_nf)
 
     def monomial_nf(self, mono):
-        """Normal form of one monomial as a terms dict, rewritten on first
-        use and tabled; callers must not edit it."""
+        """Normal form of one monomial as a terms dict, computed on first use
+        and tabled; callers must not edit it.
+
+        A monomial q * lm with lm the leading monomial of its first divisor
+        g is rewritten once, to -sum c_mu * NF(q * mu) over the tail of g:
+        the dict ``_divide`` returns, as that rewrites each monomial by the
+        same rule and never revisits one, so its result is linear in the
+        terms. Each q * mu comes later in ``_divide``'s order than q * lm,
+        so the recursion ends.
+        """
         nf = self._nf_table.get(mono)
         if nf is None:
-            nf = self._nf_table[mono] = _divide({mono: _ONE}, self._leading, self._inv_index)
+            hit = _first_divisor(mono, self._leading, self._inv_index)
+            if hit is None:
+                nf = {mono: _ONE}
+            else:
+                g, lm = hit
+                q = tuple(a - b for a, b in zip(mono, lm))
+                nf = {}
+                for mu, c in g.items():
+                    if mu != lm:
+                        axpy(nf, -c, self.monomial_nf(tuple(a + b for a, b in zip(q, mu))))
+            self._nf_table[mono] = nf
         return nf
 
     def normal_form(self, expr) -> AlgebraElement:
@@ -587,20 +605,20 @@ class Derivation:
 
     def monomial_image(self, mono):
         """Leibniz expansion of one monomial as a terms dict, computed on
-        first use and tabled; callers must not edit it."""
+        first use and tabled; callers must not edit it: the sum over k of
+        e_k * c_mu * NF(mono / x_k * mu) over the terms c_mu * mu of d(x_k),
+        where e_k is the exponent of x_k in mono."""
         img = self._table.get(mono)
         if img is None:
             A = self.algebra
-            out = A.zero()
+            img = {}
             for k, e in enumerate(mono):
                 if e == 0:
                     continue
-                d = self.images[A.variables[k]]
-                if d.is_zero():
-                    continue
                 lowered = tuple(x - 1 if i == k else x for i, x in enumerate(mono))
-                out = out + A.normal_form({lowered: e}) * d
-            img = self._table[mono] = out.terms
+                for mu, c in self.images[A.variables[k]].terms.items():
+                    axpy(img, e * c, A.monomial_nf(tuple(a + b for a, b in zip(lowered, mu))))
+            self._table[mono] = img
         return img
 
     def __call__(self, e) -> AlgebraElement:

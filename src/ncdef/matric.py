@@ -293,7 +293,9 @@ class MatricArtin:
         return self._ideal.contains(self.free.sparse(elem))
 
     def ideal_basis(self) -> list[MatricElement]:
-        """The reduced echelon basis of the ideal, as free elements."""
+        """A basis of the ideal, as free elements: the rows of its echelon
+        in insertion order, each 1 at its largest word. The rows are not
+        reduced: a row may hold a later row's pivot word."""
         basis = self.free.basis
         return [MatricElement(self.free, {basis[k]: c for k, c in row.items()})
                 for row in self._ideal.rows]

@@ -15,9 +15,12 @@ from ncdef.algebra import (
     PresentedAlgebra,
     TruncationEscape,
     UndeclaredVariable,
+    _divide,
     buchberger,
     identity_morphism,
+    p_add,
     p_leading,
+    p_mul,
     parse_polynomial,
     reduce_poly,
     s_polynomial,
@@ -202,6 +205,29 @@ def test_degree_shift_bounds_every_monomial_and_is_attained():
     assert shifts["gm_curve.json:U"] == 0
     assert shifts["genus2_affine_curve.json:U"] == 3
     assert [shifts[f"elliptic_a1_b1_curve.json:{c}"] for c in ("U1", "U2", "U3")] == [1, 1, 3]
+
+
+def test_tabled_normal_forms_and_images_match_whole_polynomial_division():
+    # monomial_nf rewrites a monomial once and recurses into its table;
+    # monomial_image sums tabled normal forms. Both must equal one division
+    # of the whole polynomial, on every monomial of degree <= 12 (reducible
+    # ones too, highest first, so each recursion starts from the top)
+    # and on the monomials of the relations
+    charts = 0
+    for name, d in _shift_bound_charts():
+        A = d.algebra
+        monos = {m for deg in range(13) for m in A._shell(deg)}
+        monos.update(m for rel in A.relations for m in rel)
+        for m in sorted(monos, key=lambda m: (A.degree(m), m), reverse=True):
+            assert A.monomial_nf(m) == _divide({m: Fraction(1)}, A._leading, A._inv_index), name
+            product = {}
+            for k, e in enumerate(m):
+                lowered = tuple(x - 1 if i == k else x for i, x in enumerate(m))
+                product = p_add(product, p_mul({lowered: Fraction(e)},
+                                               d.images[A.variables[k]].terms))
+            assert d.monomial_image(m) == _divide(product, A._leading, A._inv_index), name
+        charts += 1
+    assert charts == 22
 
 
 def _random_element(A, rng, deg=3, nterms=4):

@@ -319,12 +319,14 @@ chart = cfg.charts["U3"]
 ck = cokernels.cokernel_of_derivation(chart.algebra, chart.derivation,
                                       preferred=cfg.ext1["U3"])
 ck.reduce("15*y^2")
-# doubling every tag of the image and of the d_star stage doubles the
-# coordinates and the witness, which then account for 2*e instead of e
+# doubling every stored tag of the image and of the d_star stage doubles
+# the coordinates and the witness, which then account for 2*e instead of e;
+# every tag is expanded first, so that none is later expanded from doubled ones
 _reps, echelon, _n_src = ck._stages[ck.d_star]
-for row in ck._image.rows + echelon.rows:
-    for j in [j for j in row if j < 0]:
-        row[j] *= 2
+for red in (ck._image, echelon):
+    for tag in [red._tag(p) for p in red.pivots]:
+        for j in tag:
+            tag[j] *= 2
 try:
     ck.reduce("15*y^2")
 except cokernels.CertificationError:

@@ -469,3 +469,93 @@ def test_tagged_rows_record_their_combination_of_inserted_vectors():
         assert all(k < 0 for k in res)
         back = [-sum(c * vectors[-1 - k][i] for k, c in res.items()) for i in range(dim)]
         assert back == b
+
+
+def _reference_tagged_echelon(insertions):
+    """Eager reduced echelon with tags, written independently of
+    ncdef.linalg: each accepted vector becomes a row pivoting on its largest
+    vector index, 1 there and 0 at every other row's pivot, its tag riding
+    along on the negative indices. Returns pivot -> row in insertion order
+    and whether each insertion was accepted."""
+    rows, accepted = {}, []
+    for vec, tag in insertions:
+        v = {k: Fraction(e) for k, e in {**vec, **tag}.items() if e}
+        v = _reference_reduce(rows, v)
+        vector = [k for k in v if k >= 0]
+        accepted.append(bool(vector))
+        if not vector:
+            continue
+        p = max(vector)
+        v = {k: e / v[p] for k, e in v.items()}
+        for q, row in rows.items():
+            if row.get(p):
+                rows[q] = _reference_axpy(row, -row[p], v)
+        rows[p] = v
+    return rows, accepted
+
+
+def _reference_axpy(v, c, row):
+    out = dict(v)
+    for k, e in row.items():
+        out[k] = out.get(k, 0) + c * e
+    return {k: e for k, e in out.items() if e}
+
+
+def _reference_reduce(rows, v):
+    for p, row in rows.items():
+        if v.get(p):
+            v = _reference_axpy(v, -v[p], row)
+    return v
+
+
+def test_product_form_tags_match_an_eager_reduced_echelon():
+    rng = random.Random(20261022)
+    seen = set()
+    for _ in range(80):
+        dim = rng.randint(1, 7)
+        basis = [{k: e for k, e in enumerate(_random_matrix(rng, 1, dim).row(0)) if e}
+                 for _ in range(rng.randint(1, 7))]
+        insertions = []
+        for j in range(rng.randint(1, 9)):
+            if len(basis) > 1 and rng.random() < 0.3:
+                # a vector in the span: dependent unless its part is new
+                c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                vec = _reference_axpy(basis[0], c, basis[-1])
+            else:
+                vec = rng.choice(basis)
+            # untagged insertions interleave with tagged ones
+            tag = {} if rng.random() < 0.25 else {-1 - j: Fraction(rng.randint(1, 3))}
+            insertions.append((vec, tag))
+        red = SubspaceReducer(dim)
+        added = [red.add(vec, tag or None) for vec, tag in insertions]
+        expected, accepted = _reference_tagged_echelon(insertions)
+        assert added == accepted
+        assert red.pivots == list(expected) and red.rank == len(expected)
+        # each row is 1 at its pivot with nothing above it, and reducing it
+        # at the other pivots gives the reduced row, tag and all
+        for p, row in zip(red.pivots, red.rows):
+            assert row[p] == 1 and max(k for k in row if k >= 0) == p
+            others = {q: r for q, r in expected.items() if q != p}
+            assert _reference_reduce(others, row) == expected[p]
+        # residuals of spanned vectors, of vectors whose vector part cancels
+        # while their own tag does not, and of random ones
+        probes = [(_reference_axpy(vec, Fraction(rng.randint(-2, 2)), basis[0]), {})
+                  for vec, _tag in insertions]
+        probes += [(vec, {-1 - rng.randrange(9): Fraction(2)}) for vec, _tag in insertions]
+        probes += [({k: e for k, e in enumerate(_random_matrix(rng, 1, dim).row(0)) if e}, {})]
+        for vec, tag in probes:
+            want = _reference_reduce(expected, {**vec, **tag})
+            assert red.residual({**vec, **tag}) == want
+            assert red.contains({**vec, **tag}) == all(k < 0 for k in want)
+            seen.add("tag only" if want and all(k < 0 for k in want) else
+                     "vector" if want else "zero")
+        seen.update("dependent" if not a else "accepted" for a in added)
+    assert seen == {"tag only", "vector", "zero", "dependent", "accepted"}
+
+
+def test_membership_reads_the_vector_part_of_a_tagged_echelon():
+    red = SubspaceReducer(2)
+    red.add({0: 1}, {-1: 1})
+    assert red.contains({0: 1}) and red.contains({0: 3, -2: 1})
+    assert not red.contains({1: 1})
+    assert red.residual({0: 1}) == {-1: -1}

@@ -14,9 +14,10 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-# the echelons that linalg keeps on its objects: other modules read them
-# through the public pivots, rows and residual only
-_ECHELON_ATTRIBUTES = {"_rows", "_echelon", "_column_echelon"}
+# the echelons that linalg keeps on its objects, and the reducer's private
+# insertion and tag expansion: other modules read the echelons through the
+# public pivots, rows and residual only
+_ECHELON_ATTRIBUTES = {"_tails", "_tags", "_tag", "_add", "_echelon", "_column_echelon"}
 
 
 def test_only_linalg_touches_the_private_linalg_names():
