@@ -138,16 +138,13 @@ def _cmd_cohomology(args) -> int:
     run = {}
     for p in range(args.p_max):
         h = rc.cohomology(p)
-        # the slot and label of every coordinate, in layout order
-        owner = [("|".join(t), lbl) for t, labels, _off in rc.slot_layout(p)
-                 for lbl in labels]
         reps = []
         for vec in h.representatives:
             slots = {}
-            for i, c in enumerate(vec):
-                if c:
-                    slot, lbl = owner[i]
-                    slots.setdefault(slot, {})[lbl] = str(c)
+            for t, entries in rc.blocks(p, vec).items():
+                for lbl, c in zip(functor.labels[rc.composites[p][t]], entries):
+                    if c:
+                        slots.setdefault("|".join(t), {})[lbl] = str(c)
             reps.append(slots)
         run[str(p)] = {"dim": h.dim, "representatives": reps}
     payload = {

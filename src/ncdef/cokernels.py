@@ -37,7 +37,6 @@ from .diagrams import FiniteCategory, MorFunctor, build_resolving_complex
 # benchmark's tracer test checks that tracing patches these bindings
 from .linalg import Matrix, SubspaceReducer, kernel_basis, solve, tag_coordinates  # noqa: F401
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 # the first truncation degree the stabilization search tries; the
@@ -280,11 +279,7 @@ class CokernelPresentation:
         return Reduction(coords, witness)
 
     def class_element(self, coords) -> AlgebraElement:
-        out = self.algebra.zero()
-        for c, m in zip(coords, self.reps):
-            if c:
-                out = out + self.algebra.normal_form({m: Fraction(c)})
-        return out
+        return self.algebra.normal_form(dict(zip(self.reps, coords)))
 
 
 def cokernel_of_derivation(algebra: PresentedAlgebra, derivation: Derivation,
@@ -413,24 +408,20 @@ class GlobalHochschild:
     def dims(self) -> tuple[int, int, int]:
         return (self.hh0, self.h0.dim, self.h1.dim)
 
-    def full_complex_layout(self, p: int, vec) -> list[tuple[str, list]]:
-        """Pad a normalized degree-p cochain with zero identity slots, in the
-        order identities-first then inclusions (the printed table layout)."""
-        rc = self.complex
-        out = []
-        for name in self.diagram.poset.sorted_morphisms():
-            ck = self.diagram.cokernel_at(name)
-            if self.diagram.poset.is_identity(name):
-                if p == 0:
-                    obj = self.diagram.poset.morphisms[name].src
-                    off = rc.offsets[0][(obj,)]
-                    out.append((name, list(vec[off: off + ck.size])))
-                else:
-                    out.append((name, [_ZERO] * ck.size))
-            elif p == 1:
-                off = rc.offsets[1][(name,)]
-                out.append((name, list(vec[off: off + ck.size])))
-        return out
+    def cochain(self, p: int, elements: dict) -> list[Fraction]:
+        """The degree-p cochain whose block at each slot holds the reduce
+        coordinates of its chart element. Slots are objects at p = 0 and
+        inclusions at p = 1; the slots not listed are zero."""
+        return self.complex.cochain(p, {(slot,): self._cokernel(p, slot).reduce(e).coords
+                                        for slot, e in elements.items()})
+
+    def elements(self, p: int, vec) -> dict:
+        """Each slot's class element of the degree-p cochain vec."""
+        return {slot: self._cokernel(p, slot).class_element(entries)
+                for (slot,), entries in self.complex.blocks(p, vec).items()}
+
+    def _cokernel(self, p: int, slot: str) -> CokernelPresentation:
+        return self.diagram.cokernels[slot] if p == 0 else self.diagram.cokernel_at(slot)
 
 
 def global_hochschild_dims(diagram: ExtDiagram, endo_h0: MorFunctor) -> GlobalHochschild:

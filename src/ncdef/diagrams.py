@@ -328,13 +328,25 @@ class ResolvingComplex:
                 blocks.append(self._block(p + 1, t, p, head, mat, sign))
         return Matrix.from_blocks(self.space_dims[p + 1], self.space_dims[p], blocks)
 
-    def slot_layout(self, p: int):
-        """(tuple, value-space labels, offset) per admitted p-tuple."""
-        out = []
+    def blocks(self, p: int, vec) -> dict:
+        """Each admitted p-tuple's entries of the degree-p cochain vec, in
+        layout order."""
+        out = {}
         for t in self.tuples[p]:
-            f = self._value_at(p, t)
-            out.append((t, self.functor.labels[f], self.offsets[p][t]))
+            off = self.offsets[p][t]
+            out[t] = list(vec[off: off + self.functor.dims[self._value_at(p, t)]])
         return out
+
+    def cochain(self, p: int, blocks: dict) -> list[Fraction]:
+        """The degree-p cochain vector with the given entries {p-tuple:
+        entries}; the tuples not listed are zero."""
+        vec = [_ZERO] * self.space_dims[p]
+        for t, entries in blocks.items():
+            off = self.offsets[p][t]
+            if len(entries) != self.functor.dims[self._value_at(p, t)]:
+                raise CategoryError(f"{len(entries)} entries for the slot {t}")
+            vec[off: off + len(entries)] = entries
+        return vec
 
     def cohomology(self, p: int) -> CohomologyGroup:
         if p >= self.p_max:

@@ -150,15 +150,17 @@ def run_full_pipeline(cfg: EllipticCurve, hull_order: int = 4,
     ext1 = {title[name]: list(ctx.diagram.cokernel_at(name).rep_labels)
             for name in poset.sorted_morphisms()}
 
-    def classes(p, vec, keep):
-        return {title[name]: str(ctx.diagram.cokernel_at(name).class_element(coords))
-                for name, coords in hh.full_complex_layout(p, vec) if keep(name)}
-
-    h0_named = {f"xi{l + 1}": classes(0, vec, poset.is_identity)
+    # degree-0 slots are objects, printed as their identities
+    h0_named = {f"xi{l + 1}": {title[poset.identity[obj]]: str(e)
+                               for obj, e in hh.elements(0, vec).items()}
                 for l, vec in enumerate(hh.h0.representatives)}
-    h1_named = {"omega": classes(1, hh.h1.representatives[0],
-                                 lambda name: full_complex or not poset.is_identity(name))
-                } if hh.h1.dim else {}
+    h1_named = {}
+    if hh.h1.dim:
+        # the full complex adds the identity slots, where a normalized cochain is zero
+        omega = {title[poset.identity[obj]]: "0" for obj in poset.objects} if full_complex else {}
+        for name, e in hh.elements(1, hh.h1.representatives[0]).items():
+            omega[title[name]] = str(e)
+        h1_named["omega"] = omega
 
     hull = ctx.hull_compute(hull_order)
     payload = {

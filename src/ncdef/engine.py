@@ -374,10 +374,9 @@ class EngineContext:
                                     preferred_reps=preferred_reps)
         hh = global_hochschild_dims(diagram, constant_functor(poset))
         if tangent_rep_strings is not None:
-            hh.h0.set_representatives([_h0_vector(diagram, hh, xi)
-                                       for xi in tangent_rep_strings])
+            hh.h0.set_representatives([hh.cochain(0, xi) for xi in tangent_rep_strings])
         if obstruction_rep_strings is not None:
-            hh.h1.set_representatives([_h1_vector(diagram, hh, obstruction_rep_strings)])
+            hh.h1.set_representatives([hh.cochain(1, obstruction_rep_strings)])
         return cls(diagram, hh, _derive_tangent_reps(diagram, hh))
 
     # -- datum construction -------------------------------------------------------
@@ -485,10 +484,8 @@ class EngineContext:
         comps = {name: self.kernel_components(defect.d11[name], surj)
                  for name in self.inclusions}
         return [
-            _cochain(self.hh.complex, 1, [
-                (name, self.diagram.cokernel_at(name), comps[name][m_idx])
-                for name in self.inclusions if not comps[name][m_idx].is_zero()
-            ])
+            self.hh.cochain(1, {name: comps[name][m_idx] for name in self.inclusions
+                                if not comps[name][m_idx].is_zero()})
             for m_idx in range(len(surj.kernel_basis))
         ]
 
@@ -526,8 +523,7 @@ class EngineContext:
 
     def _solve_correction(self, defect: DefectCochain, surj: SmallSurjection, vecs) -> Correction:
         """Find (E, W) with D + rho(E_i) - E_j - d(W) = 0, exactly."""
-        rc = self.hh.complex
-        d0 = rc.differentials[0]
+        d0 = self.hh.complex.differentials[0]
         base = surj.source
         E = {obj: TensorElement(self.algebra_of(obj), base) for obj in self.poset.objects}
         for m_idx, vec in enumerate(vecs):
@@ -535,8 +531,7 @@ class EngineContext:
             if x is None:
                 raise NoLiftPossible("class-level solve failed on a zero class")
             kappa = surj.kernel_basis[m_idx]
-            for obj in self.poset.objects:
-                elem = _slot_element(self.diagram, rc, obj, x)
+            for obj, elem in self.hh.elements(0, x).items():
                 if not elem.is_zero():
                     E[obj] = E[obj] + TensorElement.from_pairs(
                         self.algebra_of(obj), base, [(elem, kappa)]
@@ -851,46 +846,13 @@ def _merge_relations(old: list, new: list) -> list:
     return out
 
 
-def _cochain(rc, p: int, parts) -> list[Fraction]:
-    """The degree-p cochain vector of the complex rc whose block at each
-    slot holds the reduce coordinates of its element; parts lists
-    (slot, cokernel presentation, element), and unlisted slots stay zero."""
-    vec = [_ZERO] * rc.space_dims[p]
-    for slot, ck, elem in parts:
-        off = rc.offsets[p][(slot,)]
-        vec[off: off + ck.size] = ck.reduce(elem).coords
-    return vec
-
-
-def _slot_element(diagram: ExtDiagram, rc, obj: str, x) -> AlgebraElement:
-    """The chart element at obj whose class the degree-0 cochain x holds."""
-    ck = diagram.cokernels[obj]
-    off = rc.offsets[0][(obj,)]
-    return ck.class_element(x[off: off + ck.size])
-
-
-def _h0_vector(diagram: ExtDiagram, hh: GlobalHochschild, xi: dict):
-    return _cochain(hh.complex, 0, [
-        (obj, diagram.cokernels[obj], xi[obj]) for obj in diagram.poset.objects
-    ])
-
-
-def _h1_vector(diagram: ExtDiagram, hh: GlobalHochschild, omega_strings: dict):
-    poset = diagram.poset
-    return _cochain(hh.complex, 1, [
-        (name, diagram.cokernel_at(name), omega_strings[name])
-        for name in poset.sorted_morphisms() if not poset.is_identity(name)
-    ])
-
-
 def _derive_tangent_reps(diagram: ExtDiagram, hh: GlobalHochschild):
     """Tangent representatives from the computed degree-0 classes: per chart
     the representative combination, per inclusion the reduce witness."""
-    rc = hh.complex
     poset = diagram.poset
     reps = []
     for vec in hh.h0.representatives:
-        xi = {obj: _slot_element(diagram, rc, obj, vec) for obj in poset.objects}
+        xi = hh.elements(0, vec)
         tau = {}
         for name in poset.sorted_morphisms():
             if poset.is_identity(name):

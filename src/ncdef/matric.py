@@ -14,6 +14,7 @@ a quotient or a small surjection builds a vector as long as the algebra.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 from .linalg import SubspaceReducer, axpy, format_terms, tag_coordinates
@@ -233,24 +234,21 @@ class MatricArtin:
         self.p = free.p
         self.name = name
         self.ideal_generators = list(ideal_generators)
-        ech = SubspaceReducer(free.dim)
         for g in self.ideal_generators:
             if any(free.word_length(w) == 0 for w in g.coeffs):
                 raise MatricError("ideal generator outside the radical")
-            ech.add(free.sparse(g))
         # two-sided closure: multiply by idempotents and length-1 generators;
-        # for p = 1 the one idempotent is the unit, whose products add nothing
+        # for p = 1 the one idempotent is the unit, whose products add nothing.
+        # Only a vector that enlarged the echelon is multiplied further.
         side = [free.idempotent(i) for i in range(1, free.p + 1)] if free.p > 1 else []
         side += free.generator_elements
-        frontier = list(self.ideal_generators)
-        while frontier:
-            new = []
-            for s in frontier:
+        ech = SubspaceReducer(free.dim)
+        work = deque(self.ideal_generators)
+        while work:
+            s = work.popleft()
+            if ech.add(free.sparse(s)):
                 for m in side:
-                    for prod in (m * s, s * m):
-                        if not prod.is_zero() and ech.add(free.sparse(prod)):
-                            new.append(prod)
-            frontier = new
+                    work += (m * s, s * m)
         self._ideal = ech
         pivot_set = set(ech.pivots)
         self.qbasis = [w for k, w in enumerate(free.basis) if k not in pivot_set]
@@ -293,9 +291,10 @@ class MatricArtin:
         return self._ideal.contains(self.free.sparse(elem))
 
     def ideal_basis(self) -> list[MatricElement]:
-        """A basis of the ideal, as free elements: the rows of its echelon
-        in insertion order, each 1 at its largest word. The rows are not
-        reduced: a row may hold a later row's pivot word."""
+        """A basis of the ideal, as free elements: the rows of its echelon,
+        each 1 at its largest word. Only their span is fixed, not their
+        order, and the rows are not reduced: a row may hold another row's
+        pivot word."""
         basis = self.free.basis
         return [MatricElement(self.free, {basis[k]: c for k, c in row.items()})
                 for row in self._ideal.rows]

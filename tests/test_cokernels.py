@@ -20,7 +20,8 @@ from ncdef.cokernels import (
     cokernel_of_derivation,
     global_hochschild_dims,
 )
-from ncdef.diagrams import constant_functor
+from ncdef.diagram_io import Curve, load_hull_config
+from ncdef.diagrams import CategoryError, constant_functor
 from ncdef.elliptic import INCL_13, INCL_23, U1, U2, U3, SingularCurve, build
 from ncdef.linalg import Matrix, SubspaceReducer, rref, solve
 
@@ -442,3 +443,47 @@ def test_paper_h0_cocycles_close(cfg11, diagram11, cfg01, diagram01):
                     vec[off + k] = c
             assert any(c != 0 for c in vec)
             hh.h0.class_coords(vec)  # raises CocycleError if it does not close
+
+
+_REFINED_CURVE = (Path(__file__).resolve().parents[1] / "docs" / "examples"
+                  / "elliptic_a1_b1_refined_curve.json")
+
+
+@pytest.mark.parametrize("cover", ["three_charts", "refined"])
+def test_cochains_round_trip_through_their_slots(cover, cfg11):
+    # cochain places each slot's reduce coordinates, elements reads the
+    # classes back, and blocks and cochain invert each other on the complex
+    curve = cfg11 if cover == "three_charts" else Curve(load_hull_config(_REFINED_CURVE)[0])
+    poset = curve.poset
+    diagram = build_ext_diagram(poset, curve.charts, curve.restrictions,
+                                preferred_reps=curve.ext1)
+    hh = global_hochschild_dims(diagram, constant_functor(poset))
+    rc = hh.complex
+    slots = {0: list(poset.objects),
+             1: [name for name in poset.sorted_morphisms() if not poset.is_identity(name)]}
+    cokernel = {0: lambda obj: diagram.cokernels[obj], 1: diagram.cokernel_at}
+    rng = random.Random(20)
+    for p in (0, 1):
+        for omitted in slots[p]:
+            elems = {}
+            for slot in slots[p]:
+                if slot != omitted:
+                    algebra = cokernel[p](slot).algebra
+                    monos = rng.sample(algebra.nf_monomials(3), 3)
+                    elems[slot] = algebra.normal_form(
+                        {m: Fraction(rng.randint(-4, 4)) for m in monos})
+            vec = hh.cochain(p, elems)
+            back = hh.elements(p, vec)
+            assert list(back) == slots[p]
+            for slot in slots[p]:
+                ck = cokernel[p](slot)
+                want = ck.reduce(elems[slot]).coords if slot in elems else [0] * ck.size
+                assert ck.reduce(back[slot]).coords == want
+            assert back[omitted].is_zero()
+            assert rc.cochain(p, rc.blocks(p, vec)) == vec
+        for _ in range(5):
+            v = [Fraction(rng.randint(-3, 3)) for _ in rc.cochain(p, {})]
+            assert rc.cochain(p, rc.blocks(p, v)) == v
+        slot = rc.tuples[p][0]
+        with pytest.raises(CategoryError):
+            rc.cochain(p, {slot: rc.blocks(p, v)[slot] + [1]})

@@ -57,7 +57,7 @@ def test_full_complex_degree_one_has_five_slots():
     c = elliptic_poset()
     G = constant_functor(c)
     rc = build_resolving_complex(c, G, normalized=False, p_max=2)
-    slots = [t for (t, _labels, _off) in rc.slot_layout(1)]
+    slots = list(rc.blocks(1, rc.cochain(1, {})))
     assert slots == [("id:U1",), ("id:U2",), ("id:U3",), ("U1>U3",), ("U2>U3",)]
 
 

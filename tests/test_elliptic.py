@@ -133,12 +133,10 @@ def test_generic_tables_certify_at_other_rational_points(ab):
 
 
 def test_omega_is_a_nonzero_class_in_both_regimes():
-    from ncdef.engine import _h1_vector
-
     for a, b in ((1, 1), (0, 1)):
         cfg = elliptic.build(a, b)
         ctx = elliptic.build_context(cfg)
-        vec = _h1_vector(ctx.diagram, ctx.hh, cfg.h1)
+        vec = ctx.hh.cochain(1, cfg.h1)
         coords = ctx.hh.h1.class_coords(vec)
         assert coords == [1]  # omega is the installed basis vector itself
 

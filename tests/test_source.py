@@ -36,3 +36,16 @@ def test_only_linalg_touches_the_private_linalg_names():
             elif isinstance(node, ast.Attribute) and node.attr in _ECHELON_ATTRIBUTES:
                 found.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert found == []
+
+
+def test_only_diagrams_reads_the_cochain_layout():
+    # the resolving complex owns how a cochain splits into slots: other
+    # modules cut and assemble cochains through its blocks and cochain
+    found = []
+    for path in sorted(Path(ncdef.__file__).parent.rglob("*.py")):
+        if path.name == "diagrams.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("offsets", "space_dims"):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert found == []
