@@ -18,7 +18,6 @@ from typing import NamedTuple
 from .linalg import Matrix, SubspaceReducer, kernel_basis, rank, rref, solve
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class CategoryError(ValueError):
@@ -201,29 +200,6 @@ def constant_functor(base: FiniteCategory, dim: int = 1, label: str = "k") -> Mo
     labels = {f: [label] * dim if dim == 1 else [f"{label}{i}" for i in range(dim)]
               for f in base.morphisms}
     return MorFunctor(base, dims, mats, labels)
-
-
-def direct_limit_dim(base: FiniteCategory, G: MorFunctor) -> int:
-    """Dimension of lim G over the morphism category (equalizer description)."""
-    order = base.sorted_morphisms()
-    offsets = {}
-    total = 0
-    for f in order:
-        offsets[f] = total
-        total += G.dims[f]
-    rows = []
-    for (f, alpha, beta, g) in base.mor_arrows():
-        m = G.matrix(f, alpha, beta)
-        for r in range(m.rows):
-            row = [_ZERO] * total
-            for c in range(m.cols):
-                row[offsets[f] + c] = m[r, c]
-            row[offsets[g] + r] -= _ONE
-            rows.append(row)
-    if not rows:
-        return total
-    mat = Matrix.from_rows(rows)
-    return len(kernel_basis(mat))
 
 
 class ResolvingComplex:

@@ -22,10 +22,10 @@ from fractions import Fraction
 
 from .cokernels import D_START
 from .diagram_io import HULL_SCHEMA, Curve
-from .engine import (DeformationDatum, EngineContext, EngineError, TensorElement,
-                     _tangent_free, _word_elem)
+from .engine import DeformationDatum, EngineContext, EngineError, TensorElement
 from .matric import quotient
 from .report import Report
+from .tower import tangent_free
 
 U1, U2, U3 = "U1", "U2", "U3"
 INCL_13 = "U1>U3"
@@ -114,9 +114,9 @@ def exp_datum(ctx: EngineContext, truncation: int) -> DeformationDatum:
     """The closed-form family over k<<t1,t2>>/(t1 t2 - t2 t1) cut at I^truncation:
     first-order operator corrections plus exp(tau (x) t2) restriction
     multipliers, exact over Q (division only by factorials)."""
-    free = _tangent_free(len(ctx.tangent_reps), truncation)
-    comm = _word_elem(free, (0, 1)) - _word_elem(free, (1, 0))
-    H = quotient(free, [comm], name=f"H/m^{truncation}")
+    free = tangent_free(ctx.tangent_dim, truncation)
+    t1, t2 = free.generator_elements[:2]
+    H = quotient(free, [t1 * t2 - t2 * t1], name=f"H/m^{truncation}")
     datum = ctx.first_order_datum(H)
     extra = {}
     for name in ctx.inclusions:

@@ -18,9 +18,9 @@ complex whose class is the obstruction. If the class vanishes, solving
     [D] = d^0 [E]
 
 in cokernel coordinates and taking derivation preimages of the residual
-yields corrections (psi += E, tau += W) that kill the defect exactly; the
-hull loop alternates naive lifts, relation extraction from nonzero classes,
-and corrected lifts, exactly in the tower of the obstruction morphism.
+yields corrections (psi += E, tau += W) that kill the defect exactly.
+``EngineContext`` is the deformation problem that ``tower.hull`` drives to
+the hull.
 
 Every element of A (x) R is one flat sparse Q-vector keyed by (base word,
 chart monomial) pairs. Sums, scalings, pushes and the images of chart maps
@@ -37,26 +37,18 @@ from fractions import Fraction
 from .algebra import AlgebraElement, PresentedAlgebra
 from .cokernels import ExtDiagram, GlobalHochschild
 from .diagrams import CocycleError
-from .linalg import Matrix, SubspaceReducer, axpy, kernel_basis, rank, solve
-from .matric import (
-    MatricArtin,
-    MatricElement,
-    MatricGeneratorSet,
-    MatricTruncatedFree,
-    SmallSurjection,
-    quotient,
-)
+# kernel_basis and quotient are not called here but stay bound: the pipeline
+# benchmark's tracer test checks that tracing patches these bindings
+from .linalg import axpy, kernel_basis, solve  # noqa: F401
+from .matric import MatricArtin, MatricElement, SmallSurjection, quotient  # noqa: F401
+from .tower import DeformationError, HullResult, NoLiftPossible, hull
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-
-class EngineError(RuntimeError):
-    pass
-
-
-class NoLiftPossible(EngineError):
-    """The solver failed after ideal enlargement; must not happen."""
+# the calculus and the tower it drives raise one error type, so a caller
+# catches the tower's errors too as EngineError
+EngineError = DeformationError
 
 
 class UnsupportedDefect(EngineError):
@@ -339,6 +331,11 @@ class EngineContext:
 
     # -- small helpers -----------------------------------------------------------
 
+    @property
+    def tangent_dim(self) -> int:
+        """The number of tangent directions, one per tangent representative."""
+        return len(self.tangent_reps)
+
     def algebra_of(self, obj: str) -> PresentedAlgebra:
         return self.charts[obj].algebra
 
@@ -380,9 +377,6 @@ class EngineContext:
         return cls(diagram, hh, _derive_tangent_reps(diagram, hh))
 
     # -- datum construction -------------------------------------------------------
-
-    def trivial_datum(self, base: MatricArtin) -> DeformationDatum:
-        return DeformationDatum(self, base, {}, {})
 
     def first_order_datum(self, base: MatricArtin) -> DeformationDatum:
         """psi = sum_l xi_l (x) t_l, tau = sum_l tau_l (x) t_l."""
@@ -561,289 +555,15 @@ class EngineContext:
             W[name] = W_te
         return Correction(E, W)
 
-    # -- cup products -----------------------------------------------------------
-
-    def cup_product(self, l: int, m: int) -> list[Fraction]:
-        """Order-2 obstruction coordinates of the (l, m) monomial, 1-based."""
-        return self.cup_table()[(l, m)]
+    # -- the hull -----------------------------------------------------------------
 
     def cup_table(self):
         """Every cup product, read off the tower's order-2 obstruction."""
         return self.hull_compute(3).cup_table
 
-    # -- the hull loop -------------------------------------------------------------
-
     def hull_compute(self, max_order: int) -> HullResult:
-        """Run the lifting tower to the requested order.
-
-        Starts from the first-order datum over T/I^2. Step n lifts the order-n
-        hull H = T/a in T/I^(n+1), the free algebra truncated at the step's
-        own order, where a is spanned by H's ideal basis and the words of
-        length n, and b = I a + a I by their products with the generators.
-        The naive lift's obstruction along T/b -> T/a gives the relations
-        (and at n = 2 the cup table); over T/(b + relations) it vanishes, and
-        its witness corrects the lift.
-        """
-        if max_order < 2:
-            raise EngineError("hull order must be >= 2")
-        r = len(self.tangent_reps)
-        H = quotient(_tangent_free(r, 2), [], name="H2")
-        datum = self.first_order_datum(H)
-        first_defect = defect = self.validate(datum)
-        if not defect.is_zero():
-            raise EngineError("the first-order datum fails to validate")
-        relations: list[MatricElement] = []
-        new_by_order: dict[int, list[str]] = {}
-        cup_table = None
-        for n in range(2, max_order):
-            free = _tangent_free(r, n + 1)
-            a_basis = [free.element(g.coeffs) for g in H.ideal_basis()]
-            a_basis += [free.element({w: _ONE}) for w in free.radical_words(n)]
-            b_gens = [prod for g in a_basis for t in free.generator_elements
-                      for prod in (t * g, g * t) if not prod.is_zero()]
-            Rp = quotient(free, b_gens, name=f"T/b{n}")
-            H = quotient(free, a_basis, name=H.name)  # H re-presented in this truncation
-            surj = SmallSurjection(Rp, H)
-            obst = self.obstruction_class(self.validate(datum.rebase_section(Rp)), surj)
-            if n == 2:
-                rows = obst.rows()
-                cup_table = {(l, m): [e.coeffs.get(("w", (l - 1, m - 1)), _ZERO) for e in rows]
-                             for l in range(1, r + 1) for m in range(1, r + 1)}
-            rels = [_normalize_relation(e) for e in obst.relation_elements()]
-            H_next = quotient(free, b_gens + [free.element(rel.coeffs) for rel in rels],
-                              name=f"H{n + 1}")
-            # the earlier relations lie in a and I a + a I = b, so b plus their
-            # span is already a two-sided ideal: a relation is fresh when its
-            # T/b reduction is not in the span of theirs
-            known = SubspaceReducer(Rp.dim)
-            for rel in relations:
-                known.add(Rp.sparse(Rp.reduce(free.element(rel.coeffs))))
-            fresh = [rel for rel in rels if not known.contains(Rp.sparse(rel))]
-            # tower coherence: H_(n+1) / I^n recovers H_n
-            if H_next.dim - len(H_next.radical_basis(n)) != H.dim:
-                raise EngineError(f"tower coherence fails at order {n + 1}")
-            lifted = datum.rebase_section(H_next)
-            obst2 = self.obstruction_class(self.validate(lifted), SmallSurjection(H_next, H))
-            if not obst2.is_zero():
-                raise NoLiftPossible(
-                    f"obstruction did not vanish after enlarging the ideal at "
-                    f"order {n + 1}"
-                )
-            datum = lifted.corrected(obst2.witness.E, obst2.witness.W)
-            defect = self.validate(datum)
-            if not defect.is_zero():
-                raise NoLiftPossible(f"corrected datum fails to validate at order {n + 1}")
-            H = H_next
-            relations = _merge_relations(relations, rels)
-            new_by_order[n + 1] = [str(rel) for rel in fresh]
-        return HullResult(max_order, H, relations, new_by_order, datum, defect,
-                          first_defect, cup_table)
-
-    # -- the tangent dimension check ---------------------------------------------------------
-
-    def tangent_dimension_check(self) -> int:
-        """Dimension of the raw first-order solution space modulo equivalence.
-
-        Unknowns are truncated psi per chart and tau per inclusion; equations
-        are the first-order semilinearity and composition identities; the
-        equivalence directions come from truncated 0-cochains constrained to
-        keep their images inside the variable spaces.
-        """
-        d_psi = max(ck.d_star for ck in self.diagram.cokernels.values())
-        margin = max(ck._margin for ck in self.diagram.cokernels.values())
-        d_pi = d_psi + margin
-        factor = self._restriction_degree_factor()
-        d_tau = factor * d_pi
-        return self._tangent_dim_at(d_psi, d_pi, d_tau)
-
-    def _restriction_degree_factor(self) -> int:
-        factor = 1
-        for name in self.inclusions:
-            rho = self.restrictions[name]
-            src = self.algebra_of(self.endpoints(name)[0])
-            for g in src.generators():
-                factor = max(factor, rho(g).degree())
-        return factor
-
-    def _tangent_dim_at(self, d_psi, d_pi, d_tau):
-        psi_bases = {o: self.algebra_of(o).nf_monomials(d_psi) for o in self.poset.objects}
-        tau_bases = {n: self.target_algebra_of(n).nf_monomials(d_tau)
-                     for n in self.inclusions}
-        offsets = {}
-        total = 0
-        for o in self.poset.objects:
-            offsets[("psi", o)] = total
-            total += len(psi_bases[o])
-        for n in self.inclusions:
-            offsets[("tau", n)] = total
-            total += len(tau_bases[n])
-
-        def equation_rows(target_algebra, d_target):
-            monos = target_algebra.nf_monomials(d_target)
-            return monos, {m: i for i, m in enumerate(monos)}
-
-        rows = []
-
-        def add_equation(entries_by_unknown, target_algebra, d_target):
-            monos, index = equation_rows(target_algebra, d_target)
-            block = [[_ZERO] * total for _ in monos]
-            for (kind, key), elems in entries_by_unknown.items():
-                off = offsets[(kind, key)]
-                for col, elem in enumerate(elems):
-                    for mono, c in elem.terms.items():
-                        block[index[mono]][off + col] += c
-            rows.extend(block)
-
-        shift = max(1, max(self.charts[o].derivation.degree_shift()
-                           for o in self.poset.objects))
-        factor = self._restriction_degree_factor()
-        d_eq = max(d_tau + shift, factor * max(d_psi, d_tau)) + 2
-        for name in self.inclusions:
-            i, j = self.endpoints(name)
-            rho = self.restrictions[name]
-            A_i, A_j = self.algebra_of(i), self.algebra_of(j)
-            d_j = self.charts[j].derivation
-            entries = {
-                ("psi", i): [rho(A_i.monomial_element(m)) for m in psi_bases[i]],
-                ("psi", j): [-A_j.monomial_element(m) for m in psi_bases[j]],
-                ("tau", name): [-d_j(A_j.monomial_element(m)) for m in tau_bases[name]],
-            }
-            add_equation(entries, A_j, d_eq)
-        for f, g, comp in self.composable_pairs():
-            rho_g = self.restrictions[g]
-            A_k = self.target_algebra_of(g)
-            entries = {
-                ("tau", f): [rho_g(self.target_algebra_of(f).monomial_element(m))
-                             for m in tau_bases[f]],
-                ("tau", g): [A_k.monomial_element(m) for m in tau_bases[g]],
-                ("tau", comp): [-A_k.monomial_element(m) for m in tau_bases[comp]],
-            }
-            add_equation(entries, A_k, d_eq)
-        system = Matrix.from_rows(rows) if rows else Matrix.zero(0, total)
-        sol_dim = len(kernel_basis(system))
-
-        # equivalence directions: 0-cochains pi per chart, restricted to the
-        # subspace whose derivation image stays inside the psi space (the
-        # kernel of the high-degree block, so cancelling combinations count)
-        eq_cols = []
-        tau_index = {n: {mm: k for k, mm in enumerate(tau_bases[n])}
-                     for n in self.inclusions}
-        for o in self.poset.objects:
-            A = self.algebra_of(o)
-            d = self.charts[o].derivation
-            pi_monos = A.nf_monomials(d_pi)
-            psi_index = {m: i for i, m in enumerate(psi_bases[o])}
-            images = [d(A.monomial_element(m)) for m in pi_monos]
-            high_monos = sorted(
-                {mm for img in images for mm in img.terms if mm not in psi_index},
-                key=lambda mm: (A.degree(mm), mm),
-            )
-            high_index = {mm: k for k, mm in enumerate(high_monos)}
-            high_rows = [[_ZERO] * len(pi_monos) for _ in high_monos]
-            for col, img in enumerate(images):
-                for mm, c in img.terms.items():
-                    if mm in high_index:
-                        high_rows[high_index[mm]][col] = c
-            if high_rows:
-                high = Matrix.from_rows(high_rows)
-                pi_space = kernel_basis(high)
-            else:
-                pi_space = [
-                    [(_ONE if k == i else _ZERO) for k in range(len(pi_monos))]
-                    for i in range(len(pi_monos))
-                ]
-            for v in pi_space:
-                pi_elem = A.normal_form(
-                    {m: c for m, c in zip(pi_monos, v) if c}
-                )
-                col = [_ZERO] * total
-                off = offsets[("psi", o)]
-                for mm, c in d(pi_elem).terms.items():
-                    col[off + psi_index[mm]] -= c
-                for name in self.inclusions:
-                    i, j = self.endpoints(name)
-                    contrib = None
-                    if j == o:
-                        contrib = pi_elem
-                    if i == o:
-                        piece = -self.restrictions[name](pi_elem)
-                        contrib = piece if contrib is None else contrib + piece
-                    if contrib is None or contrib.is_zero():
-                        continue
-                    off_t = offsets[("tau", name)]
-                    for mm, c in contrib.terms.items():
-                        col[off_t + tau_index[name][mm]] += c
-                eq_cols.append(col)
-        if eq_cols:
-            eq_rank = rank(Matrix.from_columns(eq_cols, nrows=total))
-        else:
-            eq_rank = 0
-        return sol_dim - eq_rank
-
-
-class HullResult:
-    """Output of the hull loop: the truncated hull algebra, its relation
-    generators (with first-appearance bookkeeping), the validated versal
-    datum with the defect cochains of its final and first validations, and
-    the cup table (None below order 3): per (l, m), the coefficient of
-    t_l t_m in each row of the order-2 obstruction."""
-
-    def __init__(self, order, hull, relations, new_by_order, versal_datum,
-                 versal_defect, first_defect, cup_table):
-        self.order = order
-        self.hull = hull
-        self.relations = relations
-        self.new_relations_by_order = new_by_order
-        self.versal_datum = versal_datum
-        self.versal_defect = versal_defect
-        self.first_defect = first_defect
-        self.cup_table = cup_table
-
-    def relation_strings(self) -> list[str]:
-        return [str(r) for r in self.relations]
-
-    def payload(self) -> dict:
-        """The report's "hull" block."""
-        return {
-            "relations": self.relation_strings(),
-            "new_relations_by_order": {
-                str(k): v for k, v in sorted(self.new_relations_by_order.items())
-            },
-            "dims_by_radical_degree": self.hull.radical_dims_by_order(),
-            "dim": self.hull.dim,
-        }
-
-
-# ---------------------------------------------------------------------------
-
-
-def _tangent_free(r: int, truncation: int) -> MatricTruncatedFree:
-    gens = MatricGeneratorSet(1, [(f"t{l + 1}", 1, 1) for l in range(r)])
-    return MatricTruncatedFree(gens, truncation)
-
-
-def _word_elem(free: MatricTruncatedFree, indices) -> MatricElement:
-    return free.element({("w", tuple(indices)): _ONE})
-
-
-def _leading_key(word):
-    kind, data = word
-    if kind == "e":
-        return (0, ())
-    return (len(data), tuple(-i for i in data))
-
-
-def _normalize_relation(elem: MatricElement) -> MatricElement:
-    lead = max(elem.coeffs, key=_leading_key)
-    return elem.scale(_ONE / elem.coeffs[lead])
-
-
-def _merge_relations(old: list, new: list) -> list:
-    out = list(old)
-    for rel in new:
-        if not any(rel.coeffs == r.coeffs for r in out):
-            out.append(rel)
-    return out
+        """The hull to the requested order, by the lifting tower."""
+        return hull(self, max_order)
 
 
 def _derive_tangent_reps(diagram: ExtDiagram, hh: GlobalHochschild):

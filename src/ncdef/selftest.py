@@ -121,16 +121,17 @@ def suite_cokernel_stability(a=1, b=1, seed=17):
 
 def suite_defect_invariance(a=1, b=1, seed=99, runs=20):
     from . import elliptic
-    from .engine import TensorElement, _tangent_free, _word_elem
+    from .engine import TensorElement
     from .matric import MatricMorphism, MatricElement, SmallSurjection, quotient
+    from .tower import tangent_free
 
     rng = random.Random(seed)
     cfg = elliptic.build(a, b)
     ctx = elliptic.build_context(cfg)
-    free = _tangent_free(2, 3)
+    free = tangent_free(2, 3)
     base = quotient(free, [], name="T/m^3")
-    H2 = quotient(free, [_word_elem(free, (i, j)) for i in range(2) for j in range(2)],
-                  name="H2")
+    gens = free.generator_elements
+    H2 = quotient(free, [s * t for s in gens for t in gens], name="H2")
     surj = SmallSurjection(base, H2)
     datum = ctx.first_order_datum(base)
     reference = ctx.obstruction_class(ctx.validate(datum), surj)

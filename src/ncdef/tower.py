@@ -1,0 +1,172 @@
+"""Laudal's lifting tower: the hull of a deformation problem, order by order.
+
+The tower drives any deformation problem that offers
+
+- ``tangent_dim``, the number r of tangent directions;
+- ``first_order_datum(base)``, the universal first-order datum over a
+  quotient of the free algebra T on t1, ..., tr (``tangent_free``);
+- ``validate(datum)``, the datum's defect, which has ``is_zero()``;
+- ``obstruction_class(defect, surj)``, the class of a defect along a small
+  surjection. It has ``is_zero()``, ``rows()`` (one base element per
+  obstruction basis vector), ``relation_elements()`` (the nonzero rows) and,
+  when zero, a ``witness`` correction with parts ``E`` and ``W``;
+
+and whose data offer ``rebase_section(base)`` (the same datum over a larger
+quotient of T) and ``corrected(E, W)``. It alternates naive lifts, relation
+extraction from nonzero classes, and corrected lifts, exactly in the tower
+of the obstruction morphism.
+
+Base words are the 1-pointed words of ``matric``: ``("e", 1)`` and
+``("w", indices)`` with 0-based generator indices, so the coefficient of
+t_l t_m in an order-2 obstruction row is the one of ``("w", (l - 1, m - 1))``.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .linalg import SubspaceReducer
+from .matric import (
+    MatricElement,
+    MatricGeneratorSet,
+    MatricTruncatedFree,
+    SmallSurjection,
+    quotient,
+)
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+class DeformationError(RuntimeError):
+    """A deformation problem or its tower failed a certification."""
+
+
+class NoLiftPossible(DeformationError):
+    """The solver failed after ideal enlargement; must not happen."""
+
+
+def tangent_free(r: int, truncation: int) -> MatricTruncatedFree:
+    """The free algebra on t1, ..., tr over a 1-pointed base, cut at I^truncation."""
+    gens = MatricGeneratorSet(1, [(f"t{l + 1}", 1, 1) for l in range(r)])
+    return MatricTruncatedFree(gens, truncation)
+
+
+def hull(problem, max_order: int) -> HullResult:
+    """Run the lifting tower of ``problem`` to the requested order.
+
+    Starts from the first-order datum over T/I^2. Step n lifts the order-n
+    hull H = T/a in T/I^(n+1), the free algebra truncated at the step's
+    own order, where a is spanned by H's ideal basis and the words of
+    length n, and b = I a + a I by their products with the generators.
+    The naive lift's obstruction along T/b -> T/a gives the relations
+    (and at n = 2 the cup table); over T/(b + relations) it vanishes, and
+    its witness corrects the lift.
+    """
+    if max_order < 2:
+        raise DeformationError("hull order must be >= 2")
+    r = problem.tangent_dim
+    H = quotient(tangent_free(r, 2), [], name="H2")
+    datum = problem.first_order_datum(H)
+    first_defect = defect = problem.validate(datum)
+    if not defect.is_zero():
+        raise DeformationError("the first-order datum fails to validate")
+    relations: list[MatricElement] = []
+    new_by_order: dict[int, list[str]] = {}
+    cup_table = None
+    for n in range(2, max_order):
+        free = tangent_free(r, n + 1)
+        a_basis = [free.element(g.coeffs) for g in H.ideal_basis()]
+        a_basis += [free.element({w: _ONE}) for w in free.radical_words(n)]
+        b_gens = [prod for g in a_basis for t in free.generator_elements
+                  for prod in (t * g, g * t) if not prod.is_zero()]
+        Rp = quotient(free, b_gens, name=f"T/b{n}")
+        H = quotient(free, a_basis, name=H.name)  # H re-presented in this truncation
+        surj = SmallSurjection(Rp, H)
+        obst = problem.obstruction_class(problem.validate(datum.rebase_section(Rp)), surj)
+        if n == 2:
+            rows = obst.rows()
+            cup_table = {(l, m): [e.coeffs.get(("w", (l - 1, m - 1)), _ZERO) for e in rows]
+                         for l in range(1, r + 1) for m in range(1, r + 1)}
+        rels = [_normalize_relation(e) for e in obst.relation_elements()]
+        H_next = quotient(free, b_gens + [free.element(rel.coeffs) for rel in rels],
+                          name=f"H{n + 1}")
+        # the earlier relations lie in a and I a + a I = b, so b plus their
+        # span is already a two-sided ideal: a relation is fresh when its
+        # T/b reduction is not in the span of theirs
+        known = SubspaceReducer(Rp.dim)
+        for rel in relations:
+            known.add(Rp.sparse(Rp.reduce(free.element(rel.coeffs))))
+        fresh = [rel for rel in rels if not known.contains(Rp.sparse(rel))]
+        # tower coherence: H_(n+1) / I^n recovers H_n
+        if H_next.dim - len(H_next.radical_basis(n)) != H.dim:
+            raise DeformationError(f"tower coherence fails at order {n + 1}")
+        lifted = datum.rebase_section(H_next)
+        obst2 = problem.obstruction_class(problem.validate(lifted), SmallSurjection(H_next, H))
+        if not obst2.is_zero():
+            raise NoLiftPossible(
+                f"obstruction did not vanish after enlarging the ideal at "
+                f"order {n + 1}"
+            )
+        datum = lifted.corrected(obst2.witness.E, obst2.witness.W)
+        defect = problem.validate(datum)
+        if not defect.is_zero():
+            raise NoLiftPossible(f"corrected datum fails to validate at order {n + 1}")
+        H = H_next
+        relations = _merge_relations(relations, rels)
+        new_by_order[n + 1] = [str(rel) for rel in fresh]
+    return HullResult(max_order, H, relations, new_by_order, datum, defect,
+                      first_defect, cup_table)
+
+
+class HullResult:
+    """Output of the tower: the truncated hull algebra, its relation
+    generators (with first-appearance bookkeeping), the validated versal
+    datum with the defects of its final and first validations, and the cup
+    table (None below order 3): per (l, m), the coefficient of t_l t_m in
+    each row of the order-2 obstruction."""
+
+    def __init__(self, order, hull, relations, new_by_order, versal_datum,
+                 versal_defect, first_defect, cup_table):
+        self.order = order
+        self.hull = hull
+        self.relations = relations
+        self.new_relations_by_order = new_by_order
+        self.versal_datum = versal_datum
+        self.versal_defect = versal_defect
+        self.first_defect = first_defect
+        self.cup_table = cup_table
+
+    def relation_strings(self) -> list[str]:
+        return [str(r) for r in self.relations]
+
+    def payload(self) -> dict:
+        """The report's "hull" block."""
+        return {
+            "relations": self.relation_strings(),
+            "new_relations_by_order": {
+                str(k): v for k, v in sorted(self.new_relations_by_order.items())
+            },
+            "dims_by_radical_degree": self.hull.radical_dims_by_order(),
+            "dim": self.hull.dim,
+        }
+
+
+def _leading_key(word):
+    kind, data = word
+    if kind == "e":
+        return (0, ())
+    return (len(data), tuple(-i for i in data))
+
+
+def _normalize_relation(elem: MatricElement) -> MatricElement:
+    lead = max(elem.coeffs, key=_leading_key)
+    return elem.scale(_ONE / elem.coeffs[lead])
+
+
+def _merge_relations(old: list, new: list) -> list:
+    out = list(old)
+    for rel in new:
+        if not any(rel.coeffs == r.coeffs for r in out):
+            out.append(rel)
+    return out

@@ -12,10 +12,10 @@ from ncdef.diagrams import (
     ResolvingComplex,
     build_resolving_complex,
     constant_functor,
-    direct_limit_dim,
 )
 from ncdef.linalg import Matrix, SubspaceReducer, image_basis, kernel_basis
 from ncdef.synthetic import random_hom_functor, random_poset, zero_functor
+from oracles import direct_limit_dim
 
 
 def elliptic_poset():

@@ -49,3 +49,38 @@ def test_only_diagrams_reads_the_cochain_layout():
             if isinstance(node, ast.Attribute) and node.attr in ("offsets", "space_dims"):
                 found.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert found == []
+
+
+def _ncdef_imports(path):
+    """(line, module, imported names) of each import of an ncdef module."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("ncdef")):
+            module = node.module or ""
+            names = [a.name for a in node.names]
+            if not module or module == "ncdef":
+                # `from . import x` imports the modules x themselves
+                out += [(node.lineno, name, []) for name in names]
+            else:
+                out.append((node.lineno, module.rpartition(".")[2], names))
+        elif isinstance(node, ast.Import):
+            out += [(node.lineno, a.name.rpartition(".")[2], [])
+                    for a in node.names if a.name.startswith("ncdef.")]
+    return out
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name with a leading underscore belongs to its own module
+    found = []
+    for path in sorted(Path(ncdef.__file__).parent.rglob("*.py")):
+        for line, module, names in _ncdef_imports(path):
+            found += [f"{path.name}:{line} {module}.{n}" for n in names if n.startswith("_")]
+    assert found == []
+
+
+def test_the_tower_knows_only_the_base_algebras_and_linear_algebra():
+    # tower drives any deformation problem through its interface, so it
+    # imports no module that knows a particular problem
+    path = Path(ncdef.__file__).parent / "tower.py"
+    modules = {module for _line, module, _names in _ncdef_imports(path)}
+    assert modules == {"matric", "linalg"}
