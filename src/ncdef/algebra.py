@@ -264,7 +264,10 @@ def parse_polynomial(text, variables):
             raise AlgebraError(f"dangling operator in {text!r}")
         if t[0].isdigit():
             take()
-            return sign * Fraction(t), None
+            try:
+                return sign * Fraction(t), None
+            except (ValueError, ZeroDivisionError):
+                raise AlgebraError(f"malformed number {t!r} in {text!r}") from None
         if t in var_index:
             take()
             exp = 1
@@ -274,9 +277,10 @@ def parse_polynomial(text, variables):
                 while peek() in ("+", "-"):
                     if take() == "-":
                         esign = -esign
-                tok = take()
-                if not tok.isdigit():
-                    raise AlgebraError(f"bad exponent near {tok!r} in {text!r}")
+                tok = peek()
+                if tok is None or not tok.isdigit():
+                    raise AlgebraError(f"bad exponent near {tok or '^'!r} in {text!r}")
+                take()
                 exp = esign * int(tok)
             return sign, (var_index[t], exp)
         raise UndeclaredVariable(f"variable {t!r} not declared (have {list(variables)})")
@@ -713,15 +717,6 @@ class AlgebraMorphism:
 
     def __repr__(self):
         return f"AlgebraMorphism({self.name}: {self.source.name} -> {self.target.name})"
-
-
-def identity_morphism(algebra: PresentedAlgebra) -> AlgebraMorphism:
-    images = {v: algebra.generator(v) for v in algebra.variables}
-    inv = None
-    if algebra.inverted:
-        mono = tuple(-1 if v == algebra.inverted else 0 for v in algebra.variables)
-        inv = algebra.normal_form({mono: _ONE})
-    return AlgebraMorphism(algebra, algebra, images, inv, name=f"id_{algebra.name}")
 
 
 def truncated_operator_matrix(op, source: PresentedAlgebra, target: PresentedAlgebra,

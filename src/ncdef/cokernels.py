@@ -240,9 +240,6 @@ class CokernelPresentation:
     def size(self) -> int:
         return len(self.reps)
 
-    def rep_elements(self) -> list[AlgebraElement]:
-        return [self.algebra.monomial_element(m) for m in self.reps]
-
     def reduce(self, e) -> Reduction:
         """Coordinates of [e] in the representative basis, with exact witness.
 

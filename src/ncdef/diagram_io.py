@@ -196,7 +196,10 @@ class Curve:
 
     def __init__(self, data: dict):
         self.charts, self.restrictions = {}, {}
-        for label, chart in _get(data, "charts", dict, "configuration").items():
+        charts = _get(data, "charts", dict, "configuration")
+        if not charts:
+            raise InputError("configuration lists no charts")
+        for label, chart in charts.items():
             where = f"chart {label!r}"
             algebra = PresentedAlgebra(
                 _strings(_get(chart, "variables", list, where), where),

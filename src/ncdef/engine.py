@@ -18,7 +18,10 @@ complex whose class is the obstruction. If the class vanishes, solving
     [D] = d^0 [E]
 
 in cokernel coordinates and taking derivation preimages of the residual
-yields corrections (psi += E, tau += W) that kill the defect exactly.
+yields corrections (psi += E, tau += W) that kill the defect exactly. If
+it does not vanish, the same solve on the defect less its class yields
+corrections that leave exactly the class, as basis cocycles times the
+relation rows, so they kill the defect over the base cut by the relations.
 ``EngineContext`` is the deformation problem that ``tower.hull`` drives to
 the hull.
 
@@ -80,7 +83,7 @@ class TensorElement:
         out = {}
         for a, r in pairs:
             terms = algebra.normal_form(a).terms
-            for w, c in base.reduce(base.free.element(dict(r.coeffs))).coeffs.items():
+            for w, c in base.reduce(r).coeffs.items():
                 axpy(out, c, _row(w, terms))
         return cls(algebra, base, out)
 
@@ -257,8 +260,8 @@ class DefectCochain:
 
 
 class Correction:
-    """A 1-cochain (psi corrections E, tau corrections W) certified to kill a
-    vanishing-class defect."""
+    """A 1-cochain (psi corrections E, tau corrections W) that leaves of a
+    defect only its class; it kills a vanishing-class defect."""
 
     def __init__(self, E: dict, W: dict):
         self.E = E
@@ -271,9 +274,14 @@ class Correction:
 
 
 class ObstructionClass:
-    """Coordinates in (chosen obstruction basis) (x) kernel basis."""
+    """Coordinates in (chosen obstruction basis) (x) kernel basis, with a
+    witness (E, W) over the source base that leaves the class alone:
+    D + rho(E_i) - E_j - d_j(W) = sum_alpha omega_alpha (x) row_alpha, with
+    omega_alpha the H^1 basis cocycles. Over any quotient of the source by
+    the rows the corrected datum's defect vanishes; on a zero class the
+    witness kills the defect outright."""
 
-    def __init__(self, coords, surj: SmallSurjection, witness: Correction | None):
+    def __init__(self, coords, surj: SmallSurjection, witness: Correction):
         self.coords = coords          # coords[alpha][m]
         self.kernel_basis = surj.kernel_basis
         self.base = surj.source
@@ -484,7 +492,7 @@ class EngineContext:
         ]
 
     def obstruction_class(self, defect: DefectCochain, surj: SmallSurjection) -> ObstructionClass:
-        """HH^2 (x) K coordinates of a lifting defect, with a witness when zero.
+        """HH^2 (x) K coordinates of a lifting defect, with its witness.
 
         Requires the (0,2) and (2,0) components to vanish (they do within the
         multiplication ansatz on intersection-closed curve covers).
@@ -498,7 +506,6 @@ class EngineContext:
                 raise UnsupportedDefect(f"(2,0) defect at {pair}")
         vecs = self._defect_cochain_vectors(defect, surj)
         coords = [[_ZERO] * len(vecs) for _ in range(self.hh.h1.dim)]
-        classes = []
         for m_idx, vec in enumerate(vecs):
             try:
                 cls_coords = self.hh.h1.class_coords(vec)
@@ -507,29 +514,34 @@ class EngineContext:
                     f"defect is not a cocycle (internal checker bug): residual "
                     f"{err.residual}"
                 ) from err
-            classes.append(cls_coords)
             for alpha, c in enumerate(cls_coords):
                 coords[alpha][m_idx] = c
-        obst = ObstructionClass(coords, surj, None)
-        if obst.is_zero():
-            obst.witness = self._solve_correction(defect, surj, vecs)
-        return obst
+        return ObstructionClass(coords, surj, self._solve_correction(defect, surj, vecs, coords))
 
-    def _solve_correction(self, defect: DefectCochain, surj: SmallSurjection, vecs) -> Correction:
-        """Find (E, W) with D + rho(E_i) - E_j - d(W) = 0, exactly."""
+    def _solve_correction(self, defect: DefectCochain, surj: SmallSurjection, vecs,
+                          coords) -> Correction:
+        """Find (E, W) with D + rho(E_i) - E_j - d(W) = sum_alpha omega_alpha
+        (x) row_alpha exactly, where the omega_alpha are the H^1 basis
+        cocycles and row_alpha = sum_m coords[alpha][m] kappa_m: at each
+        kernel index m the cochain less its class is a coboundary."""
         d0 = self.hh.complex.differentials[0]
         base = surj.source
+        omegas = self.hh.h1.representatives
         E = {obj: TensorElement(self.algebra_of(obj), base) for obj in self.poset.objects}
         for m_idx, vec in enumerate(vecs):
+            for omega, row in zip(omegas, coords):
+                if row[m_idx]:
+                    vec = [v - row[m_idx] * o for v, o in zip(vec, omega)]
             x = solve(d0, vec)
             if x is None:
-                raise NoLiftPossible("class-level solve failed on a zero class")
+                raise NoLiftPossible("class-level solve failed on a coboundary")
             kappa = surj.kernel_basis[m_idx]
             for obj, elem in self.hh.elements(0, x).items():
                 if not elem.is_zero():
                     E[obj] = E[obj] + TensorElement.from_pairs(
                         self.algebra_of(obj), base, [(elem, kappa)]
                     )
+        cocycles = [self.hh.elements(1, omega) for omega in omegas]
         W = {}
         for name in self.inclusions:
             i, j = self.endpoints(name)
@@ -542,6 +554,10 @@ class EngineContext:
             ck = self.diagram.cokernel_at(name)
             W_te = TensorElement(A_j, base)
             for m_idx, a in enumerate(comps):
+                # less the class at this kernel index, sum_alpha coords omega_alpha
+                for omega, row in zip(cocycles, coords):
+                    if row[m_idx]:
+                        a = a - omega[name] * row[m_idx]
                 if a.is_zero():
                     continue
                 red = ck.reduce(a)

@@ -262,7 +262,9 @@ class MatricArtin:
     # -- reduction and elements ---------------------------------------------
 
     def reduce(self, elem: MatricElement) -> MatricElement:
-        """Canonical representative: free element reduced mod the ideal."""
+        """Canonical representative of an element reduced mod the ideal. Only
+        its word coefficients are read, so it may be an element of the free
+        algebra or of any quotient of it (``in_ideal`` reads the same)."""
         return self._reduce_sparse(self.free.sparse(elem))
 
     def _reduce_sparse(self, vec: dict) -> MatricElement:
@@ -381,7 +383,7 @@ class SmallSurjection:
         if source.free is not target.free:
             raise MatricError("source and target must share the ambient free algebra")
         for g in source.ideal_generators:
-            if not target.in_ideal(MatricElement(target.free, dict(g.coeffs))):
+            if not target.in_ideal(g):
                 raise MatricError("target is not a further quotient of source")
         self.source = source
         self.target = target
@@ -405,7 +407,7 @@ class SmallSurjection:
                     )
 
     def apply(self, elem: MatricElement) -> MatricElement:
-        return self.target.reduce(self.target.free.element(dict(elem.coeffs)))
+        return self.target.reduce(elem)
 
     def kernel_coordinates(self, elem: MatricElement):
         """Coordinates of a kernel element in the kernel basis, or None."""
@@ -426,8 +428,8 @@ class MatricMorphism:
         self.name = name
         self.images = {}
         for gi, (gname, i, j) in enumerate(source.free.gens.generators):
-            img = target.reduce(MatricElement(target.free, dict(images[gname].coeffs))) \
-                if images[gname].parent is not target else images[gname]
+            img = target.reduce(images[gname]) if images[gname].parent is not target \
+                else images[gname]
             if img.radical_order() < 1:
                 raise MatricError(f"image of {gname!r} is not in the radical")
             if target.component(img, i, j) != img:

@@ -108,8 +108,3 @@ def random_hom_functor(base: FiniteCategory, rng) -> MorFunctor:
         mats[(f, alpha, beta)] = Matrix.from_sparse(n1_g * n2_g, n1_f * n2_f, rows)
     return MorFunctor(base, dims, mats, labels)
 
-
-def zero_functor(base: FiniteCategory) -> MorFunctor:
-    dims = {f: 0 for f in base.morphisms}
-    mats = {(f, a, b): Matrix.zero(0, 0) for (f, a, b, _g) in base.mor_arrows()}
-    return MorFunctor(base, dims, mats, {f: [] for f in base.morphisms})

@@ -7,14 +7,17 @@ The tower drives any deformation problem that offers
   quotient of the free algebra T on t1, ..., tr (``tangent_free``);
 - ``validate(datum)``, the datum's defect, which has ``is_zero()``;
 - ``obstruction_class(defect, surj)``, the class of a defect along a small
-  surjection. It has ``is_zero()``, ``rows()`` (one base element per
-  obstruction basis vector), ``relation_elements()`` (the nonzero rows) and,
-  when zero, a ``witness`` correction with parts ``E`` and ``W``;
+  surjection R -> S. It has ``rows()`` (one element of R per obstruction
+  basis vector), ``relation_elements()`` (the nonzero rows) and a
+  ``witness`` correction with parts ``E`` and ``W``, always present: the
+  corrected datum's defect over R is the class itself, so it vanishes over
+  any quotient of R that kills the rows;
 
 and whose data offer ``rebase_section(base)`` (the same datum over a larger
-quotient of T) and ``corrected(E, W)``. It alternates naive lifts, relation
-extraction from nonzero classes, and corrected lifts, exactly in the tower
-of the obstruction morphism.
+quotient of T), ``corrected(E, W)`` and ``push(word_image, base)`` (the
+datum along a base map, given on basis words). Each step validates the
+naive lift, takes its one class, divides the relations out and pushes the
+corrected lift there, exactly in the tower of the obstruction morphism.
 
 Base words are the 1-pointed words of ``matric``: ``("e", 1)`` and
 ``("w", indices)`` with 0-based generator indices, so the coefficient of
@@ -60,8 +63,11 @@ def hull(problem, max_order: int) -> HullResult:
     own order, where a is spanned by H's ideal basis and the words of
     length n, and b = I a + a I by their products with the generators.
     The naive lift's obstruction along T/b -> T/a gives the relations
-    (and at n = 2 the cup table); over T/(b + relations) it vanishes, and
-    its witness corrects the lift.
+    (and at n = 2 the cup table). By naturality its image along
+    T/b -> T/(b + relations) is the obstruction there, zero once that
+    quotient kills every row, and the class's witness, pushed there,
+    corrects the lift. The kernel of T/(b + relations) -> T/a is the image
+    of that of T/b -> T/a, so the one small surjection covers both.
     """
     if max_order < 2:
         raise DeformationError("hull order must be >= 2")
@@ -83,9 +89,10 @@ def hull(problem, max_order: int) -> HullResult:
         Rp = quotient(free, b_gens, name=f"T/b{n}")
         H = quotient(free, a_basis, name=H.name)  # H re-presented in this truncation
         surj = SmallSurjection(Rp, H)
-        obst = problem.obstruction_class(problem.validate(datum.rebase_section(Rp)), surj)
+        lift = datum.rebase_section(Rp)
+        obst = problem.obstruction_class(problem.validate(lift), surj)
+        rows = obst.rows()
         if n == 2:
-            rows = obst.rows()
             cup_table = {(l, m): [e.coeffs.get(("w", (l - 1, m - 1)), _ZERO) for e in rows]
                          for l in range(1, r + 1) for m in range(1, r + 1)}
         rels = [_normalize_relation(e) for e in obst.relation_elements()]
@@ -96,19 +103,21 @@ def hull(problem, max_order: int) -> HullResult:
         # T/b reduction is not in the span of theirs
         known = SubspaceReducer(Rp.dim)
         for rel in relations:
-            known.add(Rp.sparse(Rp.reduce(free.element(rel.coeffs))))
+            known.add(Rp.sparse(Rp.reduce(rel)))
         fresh = [rel for rel in rels if not known.contains(Rp.sparse(rel))]
         # tower coherence: H_(n+1) / I^n recovers H_n
         if H_next.dim - len(H_next.radical_basis(n)) != H.dim:
             raise DeformationError(f"tower coherence fails at order {n + 1}")
-        lifted = datum.rebase_section(H_next)
-        obst2 = problem.obstruction_class(problem.validate(lifted), SmallSurjection(H_next, H))
-        if not obst2.is_zero():
+        # the class's image along T/b -> H_(n+1) is the obstruction of the
+        # lift there, and it vanishes when H_(n+1) kills every row
+        if not all(H_next.in_ideal(row) for row in rows):
             raise NoLiftPossible(
                 f"obstruction did not vanish after enlarging the ideal at "
                 f"order {n + 1}"
             )
-        datum = lifted.corrected(obst2.witness.E, obst2.witness.W)
+        images = {w: H_next.element({w: _ONE}) for w in Rp.qbasis}
+        datum = (lift.corrected(obst.witness.E, obst.witness.W)
+                 .push(images.__getitem__, H_next))
         defect = problem.validate(datum)
         if not defect.is_zero():
             raise NoLiftPossible(f"corrected datum fails to validate at order {n + 1}")

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,6 @@ from ncdef.algebra import (
     UndeclaredVariable,
     _divide,
     buchberger,
-    identity_morphism,
     p_add,
     p_leading,
     p_mul,
@@ -28,6 +28,7 @@ from ncdef.algebra import (
 )
 from ncdef.diagram_io import Curve
 from ncdef.linalg import Matrix, kernel_basis, rank
+from helpers import MALFORMED_NUMBERS, identity_morphism
 
 EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 
@@ -158,6 +159,12 @@ def test_derivation_rejects_bad_images():
     A, _ = chart_A2(1, 1)
     with pytest.raises(AlgebraError):
         Derivation(A, {"x": "1", "y": "1"})
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_NUMBERS)
+def test_malformed_numbers_raise_algebra_errors(text, message):
+    with pytest.raises(AlgebraError, match=re.escape(message)):
+        PresentedAlgebra(["x", "y"], [f"y - {text}"], name="A")
 
 
 def test_derivation_on_inverted_variable():

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from ncdef.cli import main
+from helpers import MALFORMED_NUMBERS
 
 DOCS_DIAGRAM = Path(__file__).resolve().parents[1] / "docs" / "examples" / "elliptic_a1_b1_ext1.json"
 DOCS_CURVE = DOCS_DIAGRAM.with_name("elliptic_a1_b1_curve.json")
@@ -215,6 +216,8 @@ def _chain(config):
      "hull_order must be an integer, got True"),
     ({"schema": "ncdef-hull/1", "kind": "elliptic", "a": 0.5, "b": "1"},
      "bad hull configuration entry: a is not a rational string"),
+    ({"schema": "ncdef-hull/1", "kind": "curve", "charts": {}, "restrictions": {}},
+     "configuration lists no charts"),
 ])
 def test_malformed_curve_configs_exit_one(capsys, tmp_path, config, message):
     path = tmp_path / "config.json"
@@ -223,6 +226,16 @@ def test_malformed_curve_configs_exit_one(capsys, tmp_path, config, message):
     assert (code, out) == (1, "")
     assert err.startswith("ncdef: ") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_NUMBERS)
+def test_malformed_numbers_in_a_derivation_exit_one(capsys, tmp_path, text, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_curve(
+        lambda c: c["charts"]["U2"]["derivation"].__setitem__("x", text))))
+    code, out, err = run_cli(["hull", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"ncdef: {message} in {text!r}\n"
 
 
 def test_hull_subcommand_rejects_bad_order(capsys, tmp_path):

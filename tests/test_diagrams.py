@@ -14,7 +14,8 @@ from ncdef.diagrams import (
     constant_functor,
 )
 from ncdef.linalg import Matrix, SubspaceReducer, image_basis, kernel_basis
-from ncdef.synthetic import random_hom_functor, random_poset, zero_functor
+from ncdef.synthetic import random_hom_functor, random_poset
+from helpers import zero_functor
 from oracles import direct_limit_dim
 
 

@@ -158,9 +158,11 @@ def test_pipeline_report_a_nonzero(monkeypatch):
     monkeypatch.setattr(EngineContext, "hull_compute", keeping_hull)
     report = elliptic.run_full_pipeline(elliptic.build(1, 1), hull_order=4)
     assert report.elapsed < 60
-    # 7 in the hull tower and the exp datum: the first-order verdict, the cup
-    # table and the verdict on the versal datum all read the one tower
-    assert len(validated) == 8
+    # 5 in the hull tower (the first-order datum, then per step the naive
+    # lift and the corrected lift) and the exp datum: the first-order
+    # verdict, the cup table and the verdict on the versal datum all read
+    # the one tower
+    assert len(validated) == 6
     (hull,) = hulls
     assert hull.versal_defect.is_zero()
     assert validated.count(hull.versal_datum) == 1

@@ -1,10 +1,13 @@
+import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ncdef import elliptic
+from ncdef.diagram_io import Curve
 from ncdef.elliptic import INCL_13, INCL_23, U1, U2, U3
 from ncdef.engine import (
     DeformationDatum,
@@ -15,7 +18,10 @@ from ncdef.engine import (
 )
 from ncdef.matric import MatricMorphism, SmallSurjection, quotient
 from ncdef.tower import tangent_free
+from helpers import identity_morphism
 from oracles import tangent_dimension_check
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 
 def make_context(a, b):
@@ -176,7 +182,11 @@ def test_second_order_obstruction_class_is_commutator(ctx11):
     from ncdef.tower import _normalize_relation
 
     assert str(_normalize_relation(rels[0])) == "t1*t2 - t2*t1"
-    assert obst.witness is None
+    # the witness leaves only the class, which T/(b + commutator) kills
+    H3 = quotient(base.free, [commutator(base.free)], name="H3")
+    corrected = datum.corrected(obst.witness.E, obst.witness.W)
+    assert not ctx11.validate(corrected).is_zero()
+    assert ctx11.validate(corrected.push(_word_images(Rp, H3), H3)).is_zero()
 
 
 def test_kernel_components_reject_a_defect_outside_a_tensor_k(ctx11):
@@ -216,6 +226,50 @@ def test_obstruction_vanishes_after_quotienting_by_commutator(ctx11):
     assert obst.is_zero()
     corrected = datum.corrected(obst.witness.E, obst.witness.W)
     assert ctx11.validate(corrected).is_zero()
+
+
+def _word_images(source, target):
+    """The projection of two quotients of one free algebra, on basis words."""
+    return {w: target.element({w: 1}) for w in source.qbasis}.__getitem__
+
+
+def _last_tower_step(ctx, order):
+    """The datum, T/b -> H and the next hull H' of the tower's step to
+    ``order``, rebuilt from the public API."""
+    before, after = ctx.hull_compute(order - 1), ctx.hull_compute(order)
+    free = after.hull.free
+    a = [free.element(g.coeffs) for g in before.hull.ideal_basis()]
+    a += [free.element({w: 1}) for w in free.radical_words(order - 1)]
+    b = [p for g in a for t in free.generator_elements for p in (t * g, g * t) if not p.is_zero()]
+    return before.versal_datum, quotient(free, b), quotient(free, a), after.hull
+
+
+def _refined_context():
+    doc = json.loads((EXAMPLES / "elliptic_a1_b1_refined_curve.json").read_text())
+    return elliptic.build_context(Curve(doc))
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("make", [lambda: make_context(1, 1), lambda: make_context(0, 1),
+                                  _refined_context], ids=["a1_b1", "a0_b1", "refined"])
+def test_witness_pushes_to_the_witness_of_the_lift(make, order):
+    # naturality: the one class along T/b -> H, with its witness pushed to
+    # H', agrees with the zero class of the lift along H' -> H and its witness
+    ctx = make()
+    datum, Rp, H, H_next = _last_tower_step(ctx, order)
+    lift = datum.rebase_section(Rp)
+    obst = ctx.obstruction_class(ctx.validate(lift), SmallSurjection(Rp, H))
+    assert all(H_next.in_ideal(row) for row in obst.rows())
+    lifted = datum.rebase_section(H_next)
+    old = ctx.obstruction_class(ctx.validate(lifted), SmallSurjection(H_next, H))
+    assert old.is_zero()
+    push = _word_images(Rp, H_next)
+    for new_part, old_part in ((obst.witness.E, old.witness.E), (obst.witness.W, old.witness.W)):
+        assert new_part.keys() == old_part.keys()
+        for key, te in new_part.items():
+            assert te.push(push, H_next) == old_part[key], key
+    corrected = lifted.corrected(old.witness.E, old.witness.W)
+    assert ctx.validate(corrected).is_zero()
 
 
 # --- cup products ------------------------------------------------------------
@@ -559,7 +613,6 @@ def test_tangent_dimension_zero_for_zero_diagram():
 def test_tangent_dimension_stable_under_cover_refinement():
     # doubling the intersection chart (an equal copy U4 of U3 under identity
     # restrictions) keeps the tangent dimension at 2
-    from ncdef.algebra import identity_morphism
     from ncdef.diagrams import FiniteCategory
 
     cfg = elliptic.build(1, 1)

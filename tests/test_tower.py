@@ -26,6 +26,9 @@ class Datum:
     def corrected(self, E, W):
         return self
 
+    def push(self, word_image, base):
+        return self
+
 
 class Class:
     """A class with one obstruction basis vector, and its kernel row."""
@@ -33,9 +36,6 @@ class Class:
     def __init__(self, row, witness):
         self.row = row
         self.witness = witness
-
-    def is_zero(self):
-        return self.row.is_zero()
 
     def rows(self):
         return [self.row]
@@ -60,12 +60,35 @@ class Unobstructed:
         return Class(MatricElement(surj.source, {}), SimpleNamespace(E={}, W={}))
 
 
-class NeverUnobstructed(Unobstructed):
-    """The class is the first kernel vector of every small surjection, so it
-    survives any enlargement of the ideal."""
+class Counting(Unobstructed):
+    """Counts the tower's calls on the problem."""
+
+    def __init__(self, r):
+        super().__init__(r)
+        self.validated = self.obstructed = 0
+
+    def validate(self, datum):
+        self.validated += 1
+        return super().validate(datum)
 
     def obstruction_class(self, defect, surj):
-        return Class(surj.kernel_basis[0], None)
+        self.obstructed += 1
+        return super().obstruction_class(defect, surj)
+
+
+class RowWithoutRelation(Class):
+    """A class whose row never reaches the tower as a relation."""
+
+    def relation_elements(self):
+        return []
+
+
+class RelationDropped(Unobstructed):
+    """The class is the first kernel vector of every small surjection, but
+    its relation is dropped, so the enlarged ideal does not kill it."""
+
+    def obstruction_class(self, defect, surj):
+        return RowWithoutRelation(surj.kernel_basis[0], SimpleNamespace(E={}, W={}))
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -78,7 +101,17 @@ def test_an_unobstructed_problem_has_the_free_hull(r):
                                 for m in range(1, r + 1)}
 
 
+@pytest.mark.parametrize("order", [2, 3, 6])
+def test_each_step_validates_twice_and_obstructs_once(order):
+    # the first-order certificate, then per step the naive lift's defect and
+    # the corrected lift's zero-defect certificate; one class per step
+    problem = Counting(2)
+    hull(problem, order)
+    assert problem.validated == 1 + 2 * (order - 2)
+    assert problem.obstructed == order - 2
+
+
 def test_an_obstruction_that_survives_the_relations_raises():
     with pytest.raises(NoLiftPossible, match=re.escape(
             "obstruction did not vanish after enlarging the ideal at order 3")):
-        hull(NeverUnobstructed(2), 4)
+        hull(RelationDropped(2), 4)
