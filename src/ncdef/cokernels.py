@@ -4,7 +4,10 @@ of derivations, and their assembly into a diagram functor on a cover poset.
 Per chart, coker(d: A -> A) is presented by a finite list of representative
 monomials found by a stabilized degree truncation: the image subspace
 captured inside each degree slice must reproduce the same greedy complement
-over a three-degree window before the presentation is trusted. ``reduce``
+over a three-degree window before the presentation is trusted. The window
+starts no lower than the derivation's degree shift: below it a class can
+sit at about the shift (x^(N-1) spans coker(x^N d/dx) on G_m) while the
+stages before it agree. ``reduce``
 then writes any element as a representative combination plus an exact
 derivation preimage (the witness).
 
@@ -147,7 +150,9 @@ class CokernelPresentation:
         self._image = SubspaceReducer(0)
         reps = None
         self.d_star = None
-        for d in range(d_start, d_max - 1):
+        # a window below the shift can agree before a class near the shift
+        # enters, so the search starts no lower than the shift
+        for d in range(max(d_start, self._shift), d_max - 1):
             window = [self._stage(dd)[0] for dd in (d, d + 1, d + 2)]
             if window[0] == window[1] == window[2]:
                 reps = window[0]

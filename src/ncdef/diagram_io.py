@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraMorphism, Derivation, PresentedAlgebra
 from .cokernels import ChartData
-from .diagrams import FiniteCategory, MorFunctor
+from .diagrams import CategoryError, FiniteCategory, MorFunctor
 from .linalg import Matrix
 
 SCHEMA = "ncdef-diagram/1"
@@ -72,7 +72,7 @@ def functor_to_dict(base: FiniteCategory, functor: MorFunctor) -> dict:
 def functor_from_dict(data: dict) -> tuple[FiniteCategory, MorFunctor]:
     try:
         base, dims, mats, labels = _parse(data)
-    except InputError:
+    except (InputError, CategoryError):
         raise
     except (AttributeError, LookupError, TypeError, ValueError, ZeroDivisionError) as exc:
         # _parse reads only the document: a missing key, a value of the wrong
@@ -100,7 +100,13 @@ def _parse(data: dict) -> tuple[FiniteCategory, dict, dict, dict]:
             raise InputError(f"value space {name!r}: dim must be an integer >= 0, got {dim!r}")
     labels = {}
     for name, v in data["values"].items():
-        lab = list(v.get("labels", []))
+        lab = v.get("labels", [])
+        # a label keys a coordinate in the report: a list would not hash,
+        # and a repeated one would overwrite its twin's coordinate
+        if (type(lab) is not list or any(type(x) is not str for x in lab)
+                or len(set(lab)) != len(lab)):
+            raise InputError(f"value space {name!r}: labels must be a list of distinct "
+                             f"strings, got {lab!r}")
         labels[name] = lab if len(lab) == dims[name] else [
             f"b{k}" for k in range(dims[name])
         ]

@@ -47,6 +47,11 @@ class FiniteCategory:
 
     def __init__(self, objects, morphisms, identities, compose_table):
         self.objects = list(objects)
+        seen = set()
+        for o in self.objects:
+            if o in seen:
+                raise CategoryError(f"object {o!r} is listed more than once")
+            seen.add(o)
         self.morphisms = {m.name: m for m in morphisms}
         self.identity = dict(identities)
         self._compose = dict(compose_table)

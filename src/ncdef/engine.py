@@ -9,11 +9,20 @@ defect is the single element
 
     D = U * rho(Psi_i) - d_j(U) - Psi_j * U        in  A_j (x) I(R),
 
-the composition defect of a composable pair is U' * rho'(U) - U'', and the
-operator relations hold identically within the multiplication ansatz (still
-checked). Along a small surjection the defect lands in A (x) K; reducing it
-slotwise into the Ext^1 cokernels gives a degree-one cochain of the diagram
-complex whose class is the obstruction. If the class vanishes, solving
+and the composition defect of a composable pair is U' * rho'(U) - U''.
+These two are all a datum decides; two more identities hold on certified
+charts and are checked once, where the charts load. The operator relations
+hold within the multiplication ansatz: [Psi, g] = 0 because the charts are
+commutative, and d(rel) = 0 is certified by ``algebra.Derivation``. The
+multiplier form of the semilinearity defect on a generator g,
+
+    U * rho(d_i g) = d_j(U * rho(g)) - d_j(U) * rho(g),
+
+reads rho(d_i g) = d_j(rho(g)) once Leibniz cancels d_j(U) and the unit U
+divides out; ``cokernels.ExtDiagram`` certifies that. Along a small
+surjection the defect lands in A (x) K; reducing it slotwise into the Ext^1
+cokernels gives a degree-one cochain of the diagram complex whose class is
+the obstruction. If the class vanishes, solving
 
     [D] = d^0 [E]
 
@@ -243,18 +252,17 @@ class DeformationDatum:
 
 
 class DefectCochain:
-    """(0,2) operator failures per chart, (1,1) semilinearity failures per
-    inclusion, (2,0) composition failures per composable pair."""
+    """(1,1) semilinearity failures per inclusion, (2,0) composition failures
+    per composable pair: the two defects a datum decides. The (0,2) operator
+    relations hold identically on certified charts."""
 
-    def __init__(self, d02: dict, d11: dict, d20: dict):
-        self.d02 = d02
+    def __init__(self, d11: dict, d20: dict):
         self.d11 = d11
         self.d20 = d20
 
     def is_zero(self) -> bool:
         return (
-            all(te.is_zero() for per in self.d02.values() for te in per.values())
-            and all(te.is_zero() for te in self.d11.values())
+            all(te.is_zero() for te in self.d11.values())
             and all(te.is_zero() for te in self.d20.values())
         )
 
@@ -409,24 +417,12 @@ class EngineContext:
     # -- the calculus ---------------------------------------------------------------
 
     def validate(self, datum: DeformationDatum) -> DefectCochain:
-        """Exact defect evaluation; defects are data, not errors."""
-        d02, d11, d20 = {}, {}, {}
-        for obj in self.poset.objects:
-            A = self.algebra_of(obj)
-            d = self.charts[obj].derivation
-            per = {}
-            for gen in A.generators():
-                gen_tensor = TensorElement.from_pairs(A, datum.base, [(gen, datum.base.one())])
-                per[str(gen)] = datum.psi[obj] * gen_tensor - gen_tensor * datum.psi[obj]
-            # the operator relation evaluated on the chart relations: the
-            # relation acts as multiplication by its (zero) normal form, so
-            # only the derivation image survives
-            for k, rel in enumerate(A.relations):
-                img = d._apply_poly(rel)
-                per[f"relation{k}"] = TensorElement.from_pairs(
-                    A, datum.base, [(img, datum.base.one())]
-                )
-            d02[obj] = per
+        """Exact defect evaluation; defects are data, not errors. Only the
+        two defects a datum decides are computed: the operator relations
+        hold once ``Derivation`` certifies the chart relations, and the
+        multiplier form once ``ExtDiagram`` certifies that each restriction
+        intertwines the derivations."""
+        d11, d20 = {}, {}
         for name in self.inclusions:
             i, j = self.endpoints(name)
             rho = self.restrictions[name]
@@ -436,31 +432,13 @@ class EngineContext:
             dU = U.map_coefficients(d_j)
             rho_psi = datum.psi[i].map_coefficients(rho, A_j)
             d11[name] = U * rho_psi - dU - datum.psi[j] * U
-            self._check_multiplier_shape(datum, name, U, dU)
         for f, g, comp in self.composable_pairs():
             rho_g = self.restrictions[g]
             A_k = self.target_algebra_of(g)
             U_f = datum.multiplier(f).map_coefficients(rho_g, A_k)
             D = datum.multiplier(g) * U_f - datum.multiplier(comp)
             d20[(f, g)] = D
-        return DefectCochain(d02, d11, d20)
-
-    def _check_multiplier_shape(self, datum, name, U, dU):
-        """Semilinearity on generators agrees with the multiplier form. Less
-        D rho(g), whose Psi terms cancel, it reads U rho(d_i g) = d_j(U rho(g))
-        - d_j(U) rho(g) on each generator g of A_i (at g = 1 both sides are 0)."""
-        i, j = self.endpoints(name)
-        A_j = self.algebra_of(j)
-        rho = self.restrictions[name]
-        d_i, d_j = self.charts[i].derivation, self.charts[j].derivation
-        one = datum.base.one()
-        for gen in self.algebra_of(i).generators():
-            rho_g = TensorElement.from_pairs(A_j, datum.base, [(rho(gen), one)])
-            rho_dg = TensorElement.from_pairs(A_j, datum.base, [(rho(d_i(gen)), one)])
-            if U * rho_dg != (U * rho_g).map_coefficients(d_j) - dU * rho_g:
-                raise EngineError(
-                    f"defect at {name} is not of multiplication type on {gen}"
-                )
+        return DefectCochain(d11, d20)
 
     def kernel_components(self, te: TensorElement, surj: SmallSurjection) -> list[AlgebraElement]:
         """Write an A (x) K element as per-kernel-basis algebra coefficients."""
@@ -494,13 +472,9 @@ class EngineContext:
     def obstruction_class(self, defect: DefectCochain, surj: SmallSurjection) -> ObstructionClass:
         """HH^2 (x) K coordinates of a lifting defect, with its witness.
 
-        Requires the (0,2) and (2,0) components to vanish (they do within the
+        Requires the (2,0) component to vanish (it does within the
         multiplication ansatz on intersection-closed curve covers).
         """
-        for obj, per in defect.d02.items():
-            for gen, te in per.items():
-                if not te.is_zero():
-                    raise UnsupportedDefect(f"(0,2) defect at {obj} on {gen}")
         for pair, te in defect.d20.items():
             if not te.is_zero():
                 raise UnsupportedDefect(f"(2,0) defect at {pair}")

@@ -384,6 +384,47 @@ def test_affine_curve_hull_is_free_on_its_first_betti_number(capsys, name, r):
     assert payload["verdicts"] == {"hull_versal_zero_defect": True}
 
 
+def _gm_times(n):
+    """G_m with the derivation x^n d/dx: coker is spanned by x^(n - 1)."""
+    config = json.loads(DOCS_DIAGRAM.with_name("gm_curve.json").read_text())
+    config["charts"]["U"]["derivation"] = {"x": f"x^{n}"}
+    return config
+
+
+def _punctured_cubic_times_y_inverse(k):
+    """The cubic less y = 0, its derivation times the unit y^-k: coker(f d)
+    = coker(d) for a unit f, and H^1_dR has rank 2 + 3."""
+    config = json.loads(DOCS_DIAGRAM.with_name("punctured_cubic_a1_b1_curve.json").read_text())
+    config["charts"]["U"]["inverted"] = "y"
+    config["charts"]["U"]["derivation"] = {"x": f"2*y^{1 - k}", "y": f"3*x^2*y^-{k} + y^-{k}"}
+    return config
+
+
+@pytest.mark.parametrize("config, r", [
+    (_gm_times(10), 1), (_gm_times(12), 1), (_gm_times(20), 1),
+    (_punctured_cubic_times_y_inverse(8), 5), (_punctured_cubic_times_y_inverse(12), 5),
+], ids=["gm_x10", "gm_x12", "gm_x20", "cubic_y-8", "cubic_y-12"])
+def test_stabilization_window_starts_at_the_degree_shift(capsys, tmp_path, config, r):
+    # each class sits near the derivation's degree shift, above the default
+    # window start: a window that starts below it agrees before the class
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(["hull", str(path), "--format", "json"], capsys)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["hochschild"] == [1, r, 0]
+    assert payload["hull"]["dims_by_radical_degree"] == [r ** n for n in range(4)]
+
+
+def test_stabilization_beyond_the_degree_ceiling_exits_one(capsys, tmp_path):
+    # the window of x^25 d/dx starts at its shift 24, at the ceiling
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_gm_times(25)))
+    code, out, err = run_cli(["hull", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "ncdef: cokernel truncation did not stabilize below degree 24 (chart U)\n"
+
+
 def test_malformed_inputs_exit_one(capsys, tmp_path):
     data = json.loads(DOCS_DIAGRAM.read_text())
     del data["maps"]
@@ -423,16 +464,26 @@ def test_internal_errors_surface_instead_of_exiting_one(monkeypatch):
     ("dim", True, "dim must be an integer >= 0, got True"),
     ("entry", 0.1, "entry 0.1 is not a rational string or an integer"),
     ("entry", True, "entry True is not a rational string or an integer"),
-], ids=["dim-float", "dim-bool", "entry-float", "entry-bool"])
+    ("labels", [["1"], ["y^2"]],
+     "labels must be a list of distinct strings, got [['1'], ['y^2']]"),
+    ("labels", ["1", "1"], "labels must be a list of distinct strings, got ['1', '1']"),
+    ("objects", ["U1", "U2", "U3", "U1"], "object 'U1' is listed more than once"),
+], ids=["dim-float", "dim-bool", "entry-float", "entry-bool", "labels-nested",
+        "labels-repeated", "objects-repeated"])
 def test_cohomology_rejects_float_and_bool_numbers(capsys, tmp_path, where, value, message):
     # a float dim would be truncated and a float entry read as its binary
-    # approximation; a bool would pass as 0 or 1
+    # approximation; a bool would pass as 0 or 1. A nested label cannot key
+    # a report slot, a repeated label would drop a coordinate from it, and a
+    # repeated object would count its H^0 twice
     data = json.loads(DOCS_DIAGRAM.read_text())
     if where == "dim":
         data["values"]["id:U1"]["dim"] = value
+    elif where == "entry":
+        data["maps"][0]["matrix"][0][0] = value
+    elif where == "labels":
+        data["values"]["id:U2"]["labels"] = value
     else:
-        entry = data["maps"][0]
-        entry["matrix"][0][0] = value
+        data["objects"] = value
     path = tmp_path / "numbers.json"
     path.write_text(json.dumps(data))
     code, out, err = run_cli(["cohomology", str(path)], capsys)
