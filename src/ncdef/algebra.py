@@ -114,20 +114,16 @@ def _first_divisor(mono, leading, inv):
     return None
 
 
-def _divide(poly, leading, inv):
-    """Full normal form of poly modulo monic polynomials.
-
-    ``leading`` lists (polynomial, leading monomial) pairs and ``inv`` is
-    the index of the inverted variable, -1 for none. Leading monomials do
-    not involve the inverted variable, so its exponent never blocks a
-    division, and terms are reduced largest first by (degree, exponents).
-    """
-    work = dict(poly)
+def reduce_poly(p, basis):
+    """Full normal form of p modulo a list of monic polynomials, reducing
+    terms largest first by (degree, exponents)."""
+    leading = [(g, p_leading(g)[0]) for g in basis]
+    work = dict(p)
     out = {}
     while work:
-        m = max(work, key=lambda mm: (_degree(mm, inv), mm))
+        m = max(work, key=lambda mm: (sum(mm), mm))
         c = work.pop(m)
-        hit = _first_divisor(m, leading, inv)
+        hit = _first_divisor(m, leading, -1)
         if hit is None:
             s = out.get(m, _ZERO) + c
             if s:
@@ -147,11 +143,6 @@ def _divide(poly, leading, inv):
             else:
                 work.pop(mm, None)
     return out
-
-
-def reduce_poly(p, basis):
-    """Full normal form of p modulo a list of monic polynomials."""
-    return _divide(p, [(g, p_leading(g)[0]) for g in basis], -1)
 
 
 def _monic(p):
@@ -412,25 +403,36 @@ class PresentedAlgebra:
 
         A monomial q * lm with lm the leading monomial of its first divisor
         g is rewritten once, to -sum c_mu * NF(q * mu) over the tail of g:
-        the dict ``_divide`` returns, as that rewrites each monomial by the
-        same rule and never revisits one, so its result is linear in the
-        terms. Each q * mu comes later in ``_divide``'s order than q * lm,
-        so the recursion ends.
+        the full division of the monomial by the Groebner basis, as that
+        rewrites each monomial by the same rule and never revisits one, so
+        its result is linear in the terms. Each q * mu comes later in the
+        division order than q * lm, so the chain ends; a stack walks it, as
+        it can outgrow the recursion limit (x^(2n) by y - x^2).
         """
-        nf = self._nf_table.get(mono)
-        if nf is None:
-            hit = _first_divisor(mono, self._leading, self._inv_index)
+        table = self._nf_table
+        stack = [mono]
+        while stack:
+            m = stack[-1]
+            if m in table:
+                stack.pop()
+                continue
+            hit = _first_divisor(m, self._leading, self._inv_index)
             if hit is None:
-                nf = {mono: _ONE}
-            else:
-                g, lm = hit
-                q = tuple(a - b for a, b in zip(mono, lm))
-                nf = {}
-                for mu, c in g.items():
-                    if mu != lm:
-                        axpy(nf, -c, self.monomial_nf(tuple(a + b for a, b in zip(q, mu))))
-            self._nf_table[mono] = nf
-        return nf
+                table[stack.pop()] = {m: _ONE}
+                continue
+            g, lm = hit
+            q = tuple(a - b for a, b in zip(m, lm))
+            tail = [(tuple(a + b for a, b in zip(q, mu)), c) for mu, c in g.items() if mu != lm]
+            todo = [mm for mm, _c in tail if mm not in table]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            nf = {}
+            for mm, c in tail:
+                axpy(nf, -c, table[mm])
+            table[m] = nf
+        return table[mono]
 
     def normal_form(self, expr) -> AlgebraElement:
         """Coerce an expression (str, dict, scalar, element) to normal form."""

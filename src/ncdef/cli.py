@@ -164,7 +164,7 @@ def _cmd_hull(args) -> int:
     config, hull_order, dmax = load_hull_config(args.config)
     t0 = time.perf_counter()
     is_elliptic = config["kind"] == "elliptic"
-    curve = elliptic.build(*elliptic_coefficients(config)) if is_elliptic else Curve(config)
+    curve = elliptic.build(*elliptic_coefficients(config)) if is_elliptic else Curve(config, dmax)
     ctx = elliptic.build_context(curve, d_max=dmax)
     result = ctx.hull_compute(hull_order)
     payload = {"schema": "ncdef/1", "input": {"hull_order": result.order, "dmax": dmax}}

@@ -38,7 +38,7 @@ from .algebra import AlgebraElement, AlgebraError, Derivation, PresentedAlgebra
 from .diagrams import FiniteCategory, MorFunctor, build_resolving_complex
 # kernel_basis and solve are not called here but stay bound: the pipeline
 # benchmark's tracer test checks that tracing patches these bindings
-from .linalg import Matrix, SubspaceReducer, kernel_basis, solve, tag_coordinates  # noqa: F401
+from .linalg import Matrix, SubspaceReducer, axpy, kernel_basis, solve, tag_coordinates  # noqa: F401
 
 _ONE = Fraction(1)
 
@@ -77,11 +77,16 @@ class ChartData:
     is to vanish nowhere on the chart: the relations and the images
     d(x_1), ..., d(x_n) of the generators must generate the unit ideal.
     Construction certifies it and raises TangentNotGenerated otherwise.
+    A derivation whose degree shift leaves no stabilization window below
+    d_max is rejected first (NoStabilization): its images have no bound.
     """
 
-    def __init__(self, label: str, algebra: PresentedAlgebra, derivation: Derivation):
+    def __init__(self, label: str, algebra: PresentedAlgebra, derivation: Derivation,
+                 d_max: int = 24):
         if derivation.algebra is not algebra:
             raise AlgebraError("derivation does not act on the chart algebra")
+        if derivation.degree_shift() >= d_max - 1:
+            raise NoStabilization(d_max, f"chart {label}")
         if not algebra.generates_unit_ideal(derivation.images.values()):
             raise TangentNotGenerated(
                 f"chart {label}: derivation does not generate the tangent module "
@@ -343,6 +348,8 @@ class ExtDiagram:
             )
             for obj in poset.objects
         }
+        # per non-identity arrow, the reduce witness of rho(rep_k) for each k
+        self._witnesses: dict[str, list[AlgebraElement]] = {}
         self.functor = self._build_functor()
 
     def cokernel_at(self, morphism_name: str) -> CokernelPresentation:
@@ -355,9 +362,22 @@ class ExtDiagram:
         if self.poset.is_identity(beta_name):
             return Matrix.identity(src_ck.size)
         rho = self.restrictions[beta_name]
-        cols = [tgt_ck.reduce(rho(src_ck.algebra.monomial_element(m))).coords
-                for m in src_ck.reps]
-        return Matrix.from_columns(cols, nrows=tgt_ck.size)
+        reductions = [tgt_ck.reduce(rho(src_ck.algebra.monomial_element(m)))
+                      for m in src_ck.reps]
+        self._witnesses[beta_name] = [red.witness for red in reductions]
+        return Matrix.from_columns([red.coords for red in reductions], nrows=tgt_ck.size)
+
+    def restriction_witness(self, beta_name: str, coords) -> AlgebraElement:
+        """The witness of rho(class element with these coordinates) along a
+        non-identity arrow, read off with no further ``reduce``: sum_k c_k w_k,
+        where w_k is the witness of rho(rep_k). ``reduce`` certified
+        d(w_k) = rho(rep_k) - (class element of column k), so by linearity
+        d(witness) = rho(class element) - class element of (action * c)."""
+        terms = {}
+        for c, w in zip(coords, self._witnesses[beta_name]):
+            if c:
+                axpy(terms, c, w.terms)
+        return AlgebraElement(self.cokernel_at(beta_name).algebra, terms)
 
     def _build_functor(self) -> MorFunctor:
         poset = self.poset
@@ -410,17 +430,29 @@ class GlobalHochschild:
     def dims(self) -> tuple[int, int, int]:
         return (self.hh0, self.h0.dim, self.h1.dim)
 
-    def cochain(self, p: int, elements: dict) -> list[Fraction]:
+    def reduce(self, p: int, elements: dict) -> tuple[list[Fraction], dict]:
         """The degree-p cochain whose block at each slot holds the reduce
-        coordinates of its chart element. Slots are objects at p = 0 and
-        inclusions at p = 1; the slots not listed are zero."""
-        return self.complex.cochain(p, {(slot,): self._cokernel(p, slot).reduce(e).coords
-                                        for slot, e in elements.items()})
+        coordinates of its chart element, with each slot's reduce witness.
+        Slots are objects at p = 0 and inclusions at p = 1; the slots not
+        listed are zero."""
+        reductions = {slot: self._cokernel(p, slot).reduce(e) for slot, e in elements.items()}
+        vec = self.complex.cochain(p, {(slot,): red.coords for slot, red in reductions.items()})
+        return vec, {slot: red.witness for slot, red in reductions.items()}
+
+    def cochain(self, p: int, elements: dict) -> list[Fraction]:
+        """The degree-p cochain of the elements' reduce coordinates."""
+        return self.reduce(p, elements)[0]
 
     def elements(self, p: int, vec) -> dict:
         """Each slot's class element of the degree-p cochain vec."""
         return {slot: self._cokernel(p, slot).class_element(entries)
                 for (slot,), entries in self.complex.blocks(p, vec).items()}
+
+    def restriction_witness(self, incl: str, vec) -> AlgebraElement:
+        """The witness of the inclusion's restriction of the class element
+        that the degree-0 cochain vec holds at the inclusion's source."""
+        src = self.diagram.poset.morphisms[incl].src
+        return self.diagram.restriction_witness(incl, self.complex.blocks(0, vec)[(src,)])
 
     def _cokernel(self, p: int, slot: str) -> CokernelPresentation:
         return self.diagram.cokernels[slot] if p == 0 else self.diagram.cokernel_at(slot)

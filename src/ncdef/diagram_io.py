@@ -198,9 +198,11 @@ class Curve:
     AlgebraMorphism per arrow "A>B" in ``restrictions``, and the optional
     basis choices that ``EngineContext.from_charts`` certifies (None when
     absent): ``ext1`` monomials per chart, ``h0`` classes (an element per
-    chart) and the ``h1`` cocycle (an element per arrow)."""
+    chart) and the ``h1`` cocycle (an element per arrow). The charts are
+    certified against the degree ceiling ``d_max`` and the arrows against
+    cycles: a cover is a poset, so no two arrows compose to an identity."""
 
-    def __init__(self, data: dict):
+    def __init__(self, data: dict, d_max: int = 24):
         self.charts, self.restrictions = {}, {}
         charts = _get(data, "charts", dict, "configuration")
         if not charts:
@@ -213,7 +215,7 @@ class Curve:
                 inverted=_get(chart, "inverted", str, where, None), name=label)
             images = _images(_get(chart, "derivation", dict, where), algebra.variables, where)
             derivation = Derivation(algebra, images, name=f"d_{label}")
-            self.charts[label] = ChartData(label, algebra, derivation)
+            self.charts[label] = ChartData(label, algebra, derivation, d_max)
         for name, images in _get(data, "restrictions", dict, "configuration").items():
             src, _, tgt = name.partition(">")
             if src not in self.charts or tgt not in self.charts or src == tgt:
@@ -224,6 +226,12 @@ class Curve:
                                                       images, name=name)
         arrows = [tuple(name.split(">")) for name in self.restrictions]
         self.poset = FiniteCategory.poset(list(self.charts), arrows)
+        for f in self.poset.morphisms.values():
+            for g in self.poset.morphisms.values():
+                if (f.tgt == g.src and not self.poset.is_identity(f.name)
+                        and self.poset.is_identity(self.poset.compose(f.name, g.name))):
+                    raise InputError(f"restrictions {f.name} and {g.name} close a cycle; "
+                                     "the charts of a cover form a poset")
         bases = _get(data, "bases", dict, "configuration", {})
         self.ext1 = _get(bases, "ext1", dict, "bases", None)
         self.h0 = _get(bases, "h0", list, "bases", None)

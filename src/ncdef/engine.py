@@ -26,11 +26,14 @@ the obstruction. If the class vanishes, solving
 
     [D] = d^0 [E]
 
-in cokernel coordinates and taking derivation preimages of the residual
-yields corrections (psi += E, tau += W) that kill the defect exactly. If
-it does not vanish, the same solve on the defect less its class yields
-corrections that leave exactly the class, as basis cocycles times the
-relation rows, so they kill the defect over the base cut by the relations.
+in cokernel coordinates yields corrections (psi += E, tau += W) that kill
+the defect exactly. If it does not vanish, the same solve on the defect
+less its class yields corrections that leave exactly the class, as basis
+cocycles times the relation rows, so they kill the defect over the base cut
+by the relations. Every element is reduced once: W is read off
+coordinates, as the defect's own reduce witnesses plus the restriction
+witnesses that ``ExtDiagram`` keeps, taken at the solution E. The tangent
+corrections tau are restriction witnesses of the degree-0 classes.
 ``EngineContext`` is the deformation problem that ``tower.hull`` drives to
 the hull.
 
@@ -390,7 +393,12 @@ class EngineContext:
             hh.h0.set_representatives([hh.cochain(0, xi) for xi in tangent_rep_strings])
         if obstruction_rep_strings is not None:
             hh.h1.set_representatives([hh.cochain(1, obstruction_rep_strings)])
-        return cls(diagram, hh, _derive_tangent_reps(diagram, hh))
+        # tau_l on an inclusion is the restriction witness of xi_l at its
+        # source; __init__ certifies each pair
+        inclusions = [name for name in poset.sorted_morphisms() if not poset.is_identity(name)]
+        return cls(diagram, hh, [
+            (hh.elements(0, vec), {name: hh.restriction_witness(name, vec) for name in inclusions})
+            for vec in hh.h0.representatives])
 
     # -- datum construction -------------------------------------------------------
 
@@ -459,18 +467,15 @@ class EngineContext:
                     out[m_idx][mono] = c
         return [AlgebraElement(te.algebra, terms) for terms in out]
 
-    def _defect_cochain_vectors(self, defect: DefectCochain, surj: SmallSurjection):
-        """Per kernel index: the normalized degree-1 cochain of reduce coords."""
-        comps = {name: self.kernel_components(defect.d11[name], surj)
-                 for name in self.inclusions}
-        return [
-            self.hh.cochain(1, {name: comps[name][m_idx] for name in self.inclusions
-                                if not comps[name][m_idx].is_zero()})
-            for m_idx in range(len(surj.kernel_basis))
-        ]
-
     def obstruction_class(self, defect: DefectCochain, surj: SmallSurjection) -> ObstructionClass:
         """HH^2 (x) K coordinates of a lifting defect, with its witness.
+
+        Per kernel index m, each nonzero defect component a at i -> j is
+        reduced once, d_j(w) = a - [r]. The cochain of the r, less its class
+        sum_alpha coords[alpha][m] omega_alpha, is d^0 x = x_j - A x_i. So
+        E = [x] and W = w + (the restriction witness w' of x_i), both times
+        kappa_m, leave a + rho([x_i]) - [x_j] - d_j(w + w') = [r + A x_i - x_j],
+        exactly the class: D + rho(E_i) - E_j - d(W) = sum omega_alpha (x) row_alpha.
 
         Requires the (2,0) component to vanish (it does within the
         multiplication ansatz on intersection-closed curve covers).
@@ -478,72 +483,46 @@ class EngineContext:
         for pair, te in defect.d20.items():
             if not te.is_zero():
                 raise UnsupportedDefect(f"(2,0) defect at {pair}")
-        vecs = self._defect_cochain_vectors(defect, surj)
-        coords = [[_ZERO] * len(vecs) for _ in range(self.hh.h1.dim)]
-        for m_idx, vec in enumerate(vecs):
+        hh, base = self.hh, surj.source
+        d0 = hh.complex.differentials[0]
+        omegas = hh.h1.representatives
+        comps = {name: self.kernel_components(defect.d11[name], surj)
+                 for name in self.inclusions}
+        coords = [[_ZERO] * len(surj.kernel_basis) for _ in omegas]
+        E = {obj: TensorElement(self.algebra_of(obj), base) for obj in self.poset.objects}
+        W = {name: TensorElement(self.target_algebra_of(name), base)
+             for name in self.inclusions}
+        for m_idx, kappa in enumerate(surj.kernel_basis):
+            vec, witnesses = hh.reduce(1, {name: comps[name][m_idx] for name in self.inclusions
+                                           if not comps[name][m_idx].is_zero()})
             try:
-                cls_coords = self.hh.h1.class_coords(vec)
+                cls_coords = hh.h1.class_coords(vec)
             except CocycleError as err:
                 raise EngineError(
                     f"defect is not a cocycle (internal checker bug): residual "
                     f"{err.residual}"
                 ) from err
-            for alpha, c in enumerate(cls_coords):
-                coords[alpha][m_idx] = c
-        return ObstructionClass(coords, surj, self._solve_correction(defect, surj, vecs, coords))
-
-    def _solve_correction(self, defect: DefectCochain, surj: SmallSurjection, vecs,
-                          coords) -> Correction:
-        """Find (E, W) with D + rho(E_i) - E_j - d(W) = sum_alpha omega_alpha
-        (x) row_alpha exactly, where the omega_alpha are the H^1 basis
-        cocycles and row_alpha = sum_m coords[alpha][m] kappa_m: at each
-        kernel index m the cochain less its class is a coboundary."""
-        d0 = self.hh.complex.differentials[0]
-        base = surj.source
-        omegas = self.hh.h1.representatives
-        E = {obj: TensorElement(self.algebra_of(obj), base) for obj in self.poset.objects}
-        for m_idx, vec in enumerate(vecs):
-            for omega, row in zip(omegas, coords):
-                if row[m_idx]:
-                    vec = [v - row[m_idx] * o for v, o in zip(vec, omega)]
+            for omega, row, c in zip(omegas, coords, cls_coords):
+                row[m_idx] = c
+                if c:
+                    vec = [v - c * o for v, o in zip(vec, omega)]
             x = solve(d0, vec)
             if x is None:
                 raise NoLiftPossible("class-level solve failed on a coboundary")
-            kappa = surj.kernel_basis[m_idx]
-            for obj, elem in self.hh.elements(0, x).items():
+            for obj, elem in hh.elements(0, x).items():
                 if not elem.is_zero():
                     E[obj] = E[obj] + TensorElement.from_pairs(
                         self.algebra_of(obj), base, [(elem, kappa)]
                     )
-        cocycles = [self.hh.elements(1, omega) for omega in omegas]
-        W = {}
-        for name in self.inclusions:
-            i, j = self.endpoints(name)
-            rho = self.restrictions[name]
-            A_j = self.algebra_of(j)
-            residual = (defect.d11[name]
-                        + E[i].map_coefficients(rho, A_j)
-                        - E[j])
-            comps = self.kernel_components(residual, surj)
-            ck = self.diagram.cokernel_at(name)
-            W_te = TensorElement(A_j, base)
-            for m_idx, a in enumerate(comps):
-                # less the class at this kernel index, sum_alpha coords omega_alpha
-                for omega, row in zip(cocycles, coords):
-                    if row[m_idx]:
-                        a = a - omega[name] * row[m_idx]
-                if a.is_zero():
-                    continue
-                red = ck.reduce(a)
-                if not red.is_zero():
-                    raise NoLiftPossible(
-                        f"residual class at {name} did not vanish after the solve"
+            for name in self.inclusions:
+                w = hh.restriction_witness(name, x)
+                if name in witnesses:
+                    w = w + witnesses[name]
+                if not w.is_zero():
+                    W[name] = W[name] + TensorElement.from_pairs(
+                        self.target_algebra_of(name), base, [(w, kappa)]
                     )
-                W_te = W_te + TensorElement.from_pairs(
-                    A_j, base, [(red.witness, surj.kernel_basis[m_idx])]
-                )
-            W[name] = W_te
-        return Correction(E, W)
+        return ObstructionClass(coords, surj, Correction(E, W))
 
     # -- the hull -----------------------------------------------------------------
 
@@ -555,23 +534,3 @@ class EngineContext:
         """The hull to the requested order, by the lifting tower."""
         return hull(self, max_order)
 
-
-def _derive_tangent_reps(diagram: ExtDiagram, hh: GlobalHochschild):
-    """Tangent representatives from the computed degree-0 classes: per chart
-    the representative combination, per inclusion the reduce witness."""
-    poset = diagram.poset
-    reps = []
-    for vec in hh.h0.representatives:
-        xi = hh.elements(0, vec)
-        tau = {}
-        for name in poset.sorted_morphisms():
-            if poset.is_identity(name):
-                continue
-            m = poset.morphisms[name]
-            ck = diagram.cokernels[m.tgt]
-            red = ck.reduce(diagram.restrictions[name](xi[m.src]) - xi[m.tgt])
-            if not red.is_zero():
-                raise EngineError("computed tangent class fails to close")
-            tau[name] = red.witness
-        reps.append((xi, tau))
-    return reps

@@ -406,9 +406,6 @@ class SmallSurjection:
                         "annihilate the radical"
                     )
 
-    def apply(self, elem: MatricElement) -> MatricElement:
-        return self.target.reduce(elem)
-
     def kernel_coordinates(self, elem: MatricElement):
         """Coordinates of a kernel element in the kernel basis, or None."""
         residual = self._kernel.residual(self.source.sparse(elem))

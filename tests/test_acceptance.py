@@ -95,9 +95,13 @@ def test_criterion_6_no_lift_certificate(ctx11):
     defect = ctx11.validate(datum)
     obst = ctx11.obstruction_class(defect, surj)
     assert not obst.is_zero()
-    # the correcting linear system is infeasible for some kernel component
+    # the correcting linear system is infeasible for some kernel component:
+    # its degree-1 cochain of reduce coordinates is not a coboundary
     d0 = ctx11.hh.complex.differentials[0]
-    vecs = ctx11._defect_cochain_vectors(defect, surj)
+    comps = {name: ctx11.kernel_components(defect.d11[name], surj) for name in ctx11.inclusions}
+    vecs = [ctx11.hh.cochain(1, {name: comps[name][m] for name in ctx11.inclusions
+                                 if not comps[name][m].is_zero()})
+            for m in range(len(surj.kernel_basis))]
     assert any(solve(d0, vec) is None for vec in vecs)
     # after quotienting by the commutator the lift exists and validates
     H3 = quotient(free, [t1 * t2 - t2 * t1], name="H3")

@@ -16,7 +16,6 @@ from ncdef.algebra import (
     PresentedAlgebra,
     TruncationEscape,
     UndeclaredVariable,
-    _divide,
     buchberger,
     p_add,
     p_leading,
@@ -214,11 +213,26 @@ def test_degree_shift_bounds_every_monomial_and_is_attained():
     assert [shifts[f"elliptic_a1_b1_curve.json:{c}"] for c in ("U1", "U2", "U3")] == [1, 1, 3]
 
 
+def _division(A, poly):
+    """One division of the whole polynomial by A's Groebner basis. A Laurent
+    polynomial is first multiplied by the power y^s of the inverted variable
+    that clears its negative exponents, then divided by it again: no leading
+    monomial involves y, so the normal form is unique and commutes with y^s."""
+    inv = A._inv_index
+    s = max([0] + [-m[inv] for m in poly]) if inv >= 0 else 0
+
+    def shifted(m, by):
+        return tuple(e + by if k == inv else e for k, e in enumerate(m))
+
+    rem = reduce_poly({shifted(m, s): c for m, c in poly.items()}, A.groebner)
+    return {shifted(m, -s): c for m, c in rem.items()}
+
+
 def test_tabled_normal_forms_and_images_match_whole_polynomial_division():
-    # monomial_nf rewrites a monomial once and recurses into its table;
+    # monomial_nf rewrites a monomial once and walks its table;
     # monomial_image sums tabled normal forms. Both must equal one division
     # of the whole polynomial, on every monomial of degree <= 12 (reducible
-    # ones too, highest first, so each recursion starts from the top)
+    # ones too, highest first, so each rewrite chain starts from the top)
     # and on the monomials of the relations
     charts = 0
     for name, d in _shift_bound_charts():
@@ -226,15 +240,24 @@ def test_tabled_normal_forms_and_images_match_whole_polynomial_division():
         monos = {m for deg in range(13) for m in A._shell(deg)}
         monos.update(m for rel in A.relations for m in rel)
         for m in sorted(monos, key=lambda m: (A.degree(m), m), reverse=True):
-            assert A.monomial_nf(m) == _divide({m: Fraction(1)}, A._leading, A._inv_index), name
+            assert A.monomial_nf(m) == _division(A, {m: Fraction(1)}), name
             product = {}
             for k, e in enumerate(m):
                 lowered = tuple(x - 1 if i == k else x for i, x in enumerate(m))
                 product = p_add(product, p_mul({lowered: Fraction(e)},
                                                d.images[A.variables[k]].terms))
-            assert d.monomial_image(m) == _divide(product, A._leading, A._inv_index), name
+            assert d.monomial_image(m) == _division(A, product), name
         charts += 1
     assert charts == 22
+
+
+def test_a_long_rewrite_chain_stays_out_of_the_recursion_limit():
+    # y - x^2 rewrites x^(2n + 1) to x*y^n one step at a time: 2500 steps
+    # for x^5001, beyond the default recursion limit of 1000
+    A = PresentedAlgebra(["x", "y"], ["y - x^2"])
+    assert A.monomial_nf((5001, 0)) == {(1, 2500): Fraction(1)}
+    d = Derivation(A, {"x": "x^5000", "y": "2*x^5001"})
+    assert d.degree_shift() == 2500
 
 
 def _random_element(A, rng, deg=3, nterms=4):

@@ -425,6 +425,59 @@ def test_stabilization_beyond_the_degree_ceiling_exits_one(capsys, tmp_path):
     assert err == "ncdef: cokernel truncation did not stabilize below degree 24 (chart U)\n"
 
 
+def _parabola_of_degree(n):
+    """Q[x, y]/(y - x^2) with d(x) = x^n, d(y) = 2x^(n + 1): normal forms
+    rewrite x^(n + 1) one y at a time."""
+    chart = {"variables": ["x", "y"], "relations": ["y - x^2"],
+             "derivation": {"x": f"x^{n}", "y": f"2*x^{n + 1}"}}
+    return {"schema": "ncdef-hull/1", "kind": "curve", "charts": {"U": chart},
+            "restrictions": {}}
+
+
+@pytest.mark.parametrize("config", [
+    _gm_times(2000), _gm_times(99999999999), _parabola_of_degree(5000),
+], ids=["gm_x2000", "gm_x99999999999", "parabola_x5000"])
+def test_a_shift_beyond_the_degree_ceiling_exits_one_before_the_groebner_check(
+        capsys, tmp_path, config):
+    # the shift leaves no stabilization window below dmax = 24, so the chart
+    # is rejected before its tangent certification runs Buchberger on the
+    # images, and the normal forms of the parabola's images walk a rewrite
+    # chain of 2500 steps without recursing
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(["hull", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "ncdef: cokernel truncation did not stabilize below degree 24 (chart U)\n"
+
+
+def test_the_degree_ceiling_of_a_chart_is_the_configured_dmax(capsys, tmp_path):
+    # x^30 d/dx has shift 29: no window below dmax = 24, one below dmax = 40
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_gm_times(30), "dmax": 40}))
+    code, out, err = run_cli(["hull", str(path), "--format", "json"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["hochschild"] == [1, 1, 0]
+
+
+def _cyclic_cover(charts):
+    """Copies of Q[x] with d/dx whose restrictions list every arrow between
+    the named charts, both directions included."""
+    chart = {"variables": ["x"], "derivation": {"x": "1"}}
+    return {"schema": "ncdef-hull/1", "kind": "curve",
+            "charts": {c: chart for c in charts},
+            "restrictions": {f"{s}>{t}": {"x": "x"} for s in charts for t in charts if s != t}}
+
+
+@pytest.mark.parametrize("charts", ["AB", "ABC"])
+def test_hull_rejects_a_cover_whose_arrows_form_a_cycle(capsys, tmp_path, charts):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(_cyclic_cover(charts)))
+    code, out, err = run_cli(["hull", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("ncdef: restrictions A>B and B>A close a cycle; "
+                   "the charts of a cover form a poset\n")
+
+
 def test_malformed_inputs_exit_one(capsys, tmp_path):
     data = json.loads(DOCS_DIAGRAM.read_text())
     del data["maps"]

@@ -487,3 +487,30 @@ def test_cochains_round_trip_through_their_slots(cover, cfg11):
         slot = rc.tuples[p][0]
         with pytest.raises(CategoryError):
             rc.cochain(p, {slot: rc.blocks(p, v)[slot] + [1]})
+
+
+@pytest.mark.parametrize("cover", ["a1_b1", "a0_b1", "refined"])
+def test_restriction_witness_corrects_the_restricted_class(cover, cfg11, cfg01):
+    # the witness read off the kept reduce witnesses of rho(rep_k) satisfies
+    # d_j(witness) = rho([c]) - [action * c] on every arrow, for seeded
+    # random coordinates c at its source
+    curve = {"a1_b1": cfg11, "a0_b1": cfg01}.get(cover) \
+        or Curve(load_hull_config(_REFINED_CURVE)[0])
+    poset = curve.poset
+    diagram = build_ext_diagram(poset, curve.charts, curve.restrictions,
+                                preferred_reps=curve.ext1)
+    hh = global_hochschild_dims(diagram, constant_functor(poset))
+    arrows = [name for name in poset.sorted_morphisms() if not poset.is_identity(name)]
+    rng = random.Random(24)
+    for _ in range(4):
+        vec = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in hh.complex.cochain(0, {})]
+        blocks, classes = hh.complex.blocks(0, vec), hh.elements(0, vec)
+        for name in arrows:
+            src, tgt = poset.morphisms[name].src, poset.morphisms[name].tgt
+            coords = blocks[(src,)]
+            action = diagram.functor.matrix(poset.identity[src], poset.identity[src], name)
+            restricted = diagram.cokernel_at(name).class_element(action.apply(coords))
+            witness = diagram.restriction_witness(name, coords)
+            assert hh.restriction_witness(name, vec) == witness
+            assert (curve.charts[tgt].derivation(witness)
+                    == diagram.restrictions[name](classes[src]) - restricted), name

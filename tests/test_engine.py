@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from ncdef import elliptic
+from ncdef.cokernels import CokernelPresentation
 from ncdef.diagram_io import Curve
 from ncdef.elliptic import INCL_13, INCL_23, U1, U2, U3
 from ncdef.engine import (
@@ -214,6 +215,28 @@ def test_second_order_obstruction_class_is_commutator(ctx11):
     corrected = datum.corrected(obst.witness.E, obst.witness.W)
     assert not ctx11.validate(corrected).is_zero()
     assert ctx11.validate(corrected.push(_word_images(Rp, H3), H3)).is_zero()
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_obstruction_class_reduces_each_kernel_component_once(ctx11, monkeypatch, order):
+    # the witness is read off coordinates: one reduce per nonzero kernel
+    # component of the defect, none for the residual the correction leaves
+    datum, Rp, H, _H_next = _last_tower_step(ctx11, order)
+    surj = SmallSurjection(Rp, H)
+    defect = ctx11.validate(datum.rebase_section(Rp))
+    nonzero = sum(not a.is_zero() for name in ctx11.inclusions
+                  for a in ctx11.kernel_components(defect.d11[name], surj))
+    assert nonzero > 0
+    calls = []
+    real = CokernelPresentation.reduce
+
+    def counted(self, e):
+        calls.append(e)
+        return real(self, e)
+
+    monkeypatch.setattr(CokernelPresentation, "reduce", counted)
+    ctx11.obstruction_class(defect, surj)
+    assert len(calls) == nonzero
 
 
 def test_kernel_components_reject_a_defect_outside_a_tensor_k(ctx11):
