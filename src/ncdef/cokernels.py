@@ -303,6 +303,8 @@ class ExtDiagram:
     The value at every inclusion U_i >= U_j is the cokernel presentation of
     the target chart's derivation (literally shared, so the two maps into an
     intersection land in one space), and arrows act by restrict-then-reduce.
+    A cover is a poset, so two arrows that compose to an identity are
+    rejected.
     """
 
     def __init__(self, poset: FiniteCategory, charts: dict, restrictions: dict,
@@ -333,6 +335,9 @@ class ExtDiagram:
                 if f.tgt != g.src or poset.is_identity(f.name) or poset.is_identity(g.name):
                     continue
                 comp = poset.compose(f.name, g.name)
+                if poset.is_identity(comp):
+                    raise AlgebraError(f"restrictions {f.name} and {g.name} close a cycle; "
+                                       "the charts of a cover form a poset")
                 direct = self.restrictions[comp]
                 chained = self.restrictions[f.name].compose(self.restrictions[g.name])
                 for gen in charts[f.src].algebra.generators():

@@ -111,8 +111,10 @@ def _parse(data: dict) -> tuple[FiniteCategory, dict, dict, dict]:
             f"b{k}" for k in range(dims[name])
         ]
     mats = {}
-    # one Fraction per distinct entry string: parsing is most of a load. Only
-    # strings are cached, so a float or a bool never hits an equal int's entry
+    # one value per distinct entry string: parsing is most of a load. Only
+    # strings are cached, so a float or a bool never hits an equal int's entry.
+    # An integral entry is kept as an int, which the echelons add and multiply
+    # faster than a Fraction and divide exactly (linalg._quotient)
     parsed = {}
     for entry in data["maps"]:
         f, alpha, beta = entry["of"], entry["alpha"], entry["beta"]
@@ -129,9 +131,10 @@ def _parse(data: dict) -> tuple[FiniteCategory, dict, dict, dict]:
                 if x in parsed:
                     e = parsed[x]
                 elif type(x) is str:
-                    e = parsed[x] = Fraction(x)
-                elif type(x) is int:
                     e = Fraction(x)
+                    e = parsed[x] = e.numerator if e.denominator == 1 else e
+                elif type(x) is int:
+                    e = x
                 else:  # a float would be read as its binary approximation
                     raise InputError(
                         f"matrix for ({f},{alpha},{beta}): entry {x!r} is not a "
@@ -199,8 +202,8 @@ class Curve:
     basis choices that ``EngineContext.from_charts`` certifies (None when
     absent): ``ext1`` monomials per chart, ``h0`` classes (an element per
     chart) and the ``h1`` cocycle (an element per arrow). The charts are
-    certified against the degree ceiling ``d_max`` and the arrows against
-    cycles: a cover is a poset, so no two arrows compose to an identity."""
+    certified against the degree ceiling ``d_max``; ``ExtDiagram`` rejects
+    arrows that close a cycle."""
 
     def __init__(self, data: dict, d_max: int = 24):
         self.charts, self.restrictions = {}, {}
@@ -226,12 +229,6 @@ class Curve:
                                                       images, name=name)
         arrows = [tuple(name.split(">")) for name in self.restrictions]
         self.poset = FiniteCategory.poset(list(self.charts), arrows)
-        for f in self.poset.morphisms.values():
-            for g in self.poset.morphisms.values():
-                if (f.tgt == g.src and not self.poset.is_identity(f.name)
-                        and self.poset.is_identity(self.poset.compose(f.name, g.name))):
-                    raise InputError(f"restrictions {f.name} and {g.name} close a cycle; "
-                                     "the charts of a cover form a poset")
         bases = _get(data, "bases", dict, "configuration", {})
         self.ext1 = _get(bases, "ext1", dict, "bases", None)
         self.h0 = _get(bases, "h0", list, "bases", None)

@@ -1,12 +1,18 @@
 """Exact linear algebra over the rationals, in cost proportional to nonzeros.
 
-Every vector and matrix here is sparse: a row is a ``{index: Fraction}``
+Every vector and matrix here is sparse: a row is a ``{index: entry}``
 dict of its nonzero entries, and a Matrix is a list of such rows. Products,
 sums, transposes and comparisons read and write these rows directly, and
 every operation drops the entries that cancel, so no stored row holds a
 zero and equal matrices have equal rows. ``Matrix.from_sparse`` takes such
 rows as they are, and ``Matrix.from_blocks`` sums signed blocks into them.
 Dense views (``row``, ``column``, ``m[i, j]``) are built on demand.
+
+An entry is an exact ``int`` or a ``Fraction``. The two compare and hash
+alike, and ints, which a loaded diagram keeps for its integral entries, add
+and multiply without a Fraction's overhead. They part only under ``/``,
+where two ints give a float, so ``_quotient`` is the one division: it keeps
+an int quotient an int and makes any other one a Fraction.
 
 Every cohomology and obstruction computation in this package reduces to
 row reduction, by one of two routines over sparse rows keyed by pivot.
@@ -63,9 +69,10 @@ def _as_fraction(x) -> Fraction:
 class Matrix:
     """Immutable rows x cols matrix over Q.
 
-    ``sparse[i]`` holds the nonzero entries of row i as ``{col: Fraction}``;
-    no stored row ever holds a zero, so equal matrices have equal rows.
-    The rows are shared, never mutated: code that edits one edits a copy.
+    ``sparse[i]`` holds the nonzero entries of row i as ``{col: entry}``,
+    each an int or a Fraction; no stored row ever holds a zero, so equal
+    matrices have equal rows. The rows are shared, never mutated: code that
+    edits one edits a copy.
     """
 
     __slots__ = ("rows", "cols", "sparse", "_echelon", "_column_echelon")
@@ -90,10 +97,10 @@ class Matrix:
     def from_sparse(cls, rows: int, cols: int, sparse: list) -> Matrix:
         """A matrix on its ``rows`` sparse rows, taken as they are.
 
-        Each row is a ``{col: Fraction}`` dict with 0 <= col < cols and no
-        zero value: equality compares these rows, so a stored zero would
-        make equal matrices differ. The matrix owns the rows from then on,
-        and nothing may edit them.
+        Each row is a ``{col: entry}`` dict, entries ints or Fractions, with
+        0 <= col < cols and no zero value: equality compares these rows, so
+        a stored zero would make equal matrices differ. The matrix owns the
+        rows from then on, and nothing may edit them.
         """
         m = cls.__new__(cls)
         m._set(rows, cols, sparse)
@@ -419,7 +426,7 @@ class SubspaceReducer:
         p = max(v)
         e = v.pop(p)
         if e != 1:
-            v = {j: x / e for j, x in v.items()}
+            v = {j: _quotient(x, e) for j, x in v.items()}
         self._tails[p] = v
         steps = {q: c for q, c in steps.items() if q in self._tags}
         if tag or steps:
@@ -450,7 +457,7 @@ class SubspaceReducer:
             t = dict(own)
             for r, c in steps.items():
                 axpy(t, -c, tags[r])
-            tags[q] = t if e == 1 else {j: x / e for j, x in t.items()}
+            tags[q] = t if e == 1 else {j: _quotient(x, e) for j, x in t.items()}
         return tags[p]
 
 
@@ -508,7 +515,7 @@ def _insert(rows: dict, v: dict) -> bool:
     p = min(v)
     inv = v[p]
     if inv != 1:
-        v = {j: e / inv for j, e in v.items()}
+        v = {j: _quotient(e, inv) for j, e in v.items()}
     for row in rows.values():
         c = row.get(p)
         if c:
@@ -517,13 +524,23 @@ def _insert(rows: dict, v: dict) -> bool:
     return True
 
 
+def _quotient(x, e):
+    """x / e, exact: two ints give an int when e divides x and a Fraction
+    otherwise, where ``/`` would give a float; any other pair gives x / e.
+    The one division of the echelons."""
+    if x.__class__ is int and e.__class__ is int:
+        q, r = divmod(x, e)
+        return Fraction(x, e) if r else q
+    return x / e
+
+
 def axpy(v: dict, c: Fraction | int, row: dict) -> None:
     """v += c * row on sparse vectors, dropping the entries that cancel.
 
     The one sparse accumulate: matrices, chart-ring polynomials, base
     elements and A (x) R elements all combine their rows through it. The
-    factor c is a nonzero Fraction or an int sign; row keys are any
-    hashable indices.
+    factor c is a nonzero int or Fraction; row keys are any hashable
+    indices.
 
     >>> v = {0: Fraction(1)}
     >>> axpy(v, Fraction(-1, 2), {0: Fraction(2), 1: Fraction(1)})

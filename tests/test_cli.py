@@ -556,3 +556,45 @@ def test_integer_entries_load_like_their_strings():
     assert got.dims == expected.dims
     assert all(got.matrix(*key).sparse == expected.matrix(*key).sparse
                for key in expected.mats)
+
+
+# an integral entry n written four ways; each loads as the same exact int
+_SPELLINGS = [lambda n: n, str, lambda n: f"{2 * n}/2", lambda n: f"{n}/1"]
+
+
+def _two_object_diagram(spell):
+    """A < B with 2-dimensional values. The arrow from A acts by
+    diag(2, -3), so eliminating it divides by 2 and -3 and the H^0
+    representatives hold 1/2 and 1/3; one entry of the arrow from B is the
+    rational "1/2"."""
+    eye = [[spell(1), spell(0)], [spell(0), spell(1)]]
+    value = {"dim": 2, "labels": ["e0", "e1"]}
+    return {
+        "schema": "ncdef-diagram/1",
+        "objects": ["A", "B"],
+        "morphisms": [{"source": "A", "target": "B"}],
+        "values": {"id:A": value, "id:B": value, "A>B": value},
+        "maps": [
+            {"of": "id:A", "alpha": "id:A", "beta": "id:A", "to": "id:A", "matrix": eye},
+            {"of": "id:B", "alpha": "id:B", "beta": "id:B", "to": "id:B", "matrix": eye},
+            {"of": "A>B", "alpha": "id:A", "beta": "id:B", "to": "A>B", "matrix": eye},
+            {"of": "id:A", "alpha": "id:A", "beta": "A>B", "to": "A>B",
+             "matrix": [[spell(2), spell(0)], [spell(0), spell(-3)]]},
+            {"of": "id:B", "alpha": "A>B", "beta": "id:B", "to": "A>B",
+             "matrix": [[spell(1), "1/2"], [spell(0), spell(-1)]]},
+        ],
+    }
+
+
+@pytest.mark.parametrize("full", [[], ["--full-complex"]], ids=["normalized", "full"])
+def test_integral_entries_spelled_four_ways_give_one_report(capsys, tmp_path, full):
+    path = tmp_path / "diagram.json"
+    reports = []
+    for spell in _SPELLINGS:
+        path.write_text(json.dumps(_two_object_diagram(spell)))
+        code, out, err = run_cli(["cohomology", str(path), "--format", "json", *full], capsys)
+        assert code == 0, err
+        reports.append(out)
+    assert reports[1:] == reports[:1] * 3
+    h0 = json.loads(reports[0])["cohomology_run"]["0"]["representatives"]
+    assert "1/2" in json.dumps(h0)

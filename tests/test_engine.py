@@ -718,3 +718,20 @@ def test_p1_chart_whose_derivation_vanishes_is_rejected():
             "U2": ChartData("U2", dual, Derivation(dual, {"u": "-u^2"})),
             "U3": ChartData("U3", overlap, Derivation(overlap, {"x": "1"})),
         }, restrictions)
+
+
+def test_a_cover_whose_arrows_form_a_cycle_raises_a_typed_error():
+    # two copies of Q[x] with d/dx restricted to each other both ways: the
+    # composite A>B then B>A is the identity of A, which has no restriction
+    from ncdef.algebra import AlgebraError, AlgebraMorphism, Derivation, PresentedAlgebra
+    from ncdef.cokernels import ChartData
+    from ncdef.diagrams import FiniteCategory
+
+    algebras = {c: PresentedAlgebra(["x"], name=c) for c in "AB"}
+    charts = {c: ChartData(c, A, Derivation(A, {"x": "1"})) for c, A in algebras.items()}
+    restrictions = {f"{s}>{t}": AlgebraMorphism(algebras[s], algebras[t], {"x": "x"})
+                    for s, t in ("AB", "BA")}
+    poset = FiniteCategory.poset(["A", "B"], [("A", "B"), ("B", "A")])
+    with pytest.raises(AlgebraError, match="^restrictions A>B and B>A close a cycle; "
+                                           "the charts of a cover form a poset$"):
+        EngineContext.from_charts(poset, charts, restrictions)

@@ -559,3 +559,70 @@ def test_membership_reads_the_vector_part_of_a_tagged_echelon():
     assert red.contains({0: 1}) and red.contains({0: 3, -2: 1})
     assert not red.contains({1: 1})
     assert red.residual({0: 1}) == {-1: -1}
+
+
+# --- integral entries ----------------------------------------------------------
+
+
+def test_quotient_is_exact_and_keeps_ints_that_divide():
+    from ncdef.linalg import _quotient
+
+    assert [(q, type(q)) for q in (_quotient(6, 3), _quotient(-8, -4), _quotient(0, 7))] == [
+        (2, int), (2, int), (0, int)]
+    assert _quotient(1, 2) == Fraction(1, 2) and _quotient(-6, -4) == Fraction(3, 2)
+    assert _quotient(Fraction(1, 2), 2) == Fraction(1, 4)
+    assert _quotient(3, Fraction(3, 2)) == 2 and type(_quotient(3, Fraction(3))) is Fraction
+
+
+# mostly zero and units, plus the non-unit pivots whose division leaves a
+# fraction (2, 3, -4) or an int (6 by 2 or 3)
+_INTEGRAL_ENTRIES = (0, 0, 0, 0, 1, -1, 1, 2, 3, -4, 6)
+
+
+def _exact(values) -> bool:
+    """No entry is a float (or anything but an int or a Fraction)."""
+    return all(type(x) in (int, Fraction) for x in values)
+
+
+def test_int_and_fraction_entries_eliminate_alike_and_never_to_a_float():
+    from ncdef.linalg import _echelon
+
+    rng = random.Random(20261025)
+    kinds = set()  # the types that the int matrices' echelons ended up holding
+    for _ in range(150):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        ints = [{j: e for j in range(cols) if (e := rng.choice(_INTEGRAL_ENTRIES))}
+                for _ in range(rows)]
+        fracs = [{j: Fraction(e) for j, e in row.items()} for row in ints]
+        mi, mf = Matrix.from_sparse(rows, cols, ints), Matrix.from_sparse(rows, cols, fracs)
+        assert rref(mi) == rref(mf) and rank(mi) == rank(mf)
+        assert kernel_basis(mi) == kernel_basis(mf)
+        x = [rng.choice(_INTEGRAL_ENTRIES) for _ in range(cols)]
+        for b in (mf.apply(x), [rng.choice(_INTEGRAL_ENTRIES) for _ in range(rows)]):
+            got = solve(mi, b)
+            assert got == solve(mf, b)
+            assert got is None or _exact(got)
+        echelon = _echelon(mi)
+        assert _exact(e for row in echelon.values() for e in row.values())
+        assert _exact(e for row in rref(mi)[0].sparse for e in row.values())
+        assert _exact(e for v in kernel_basis(mi) for e in v)
+        columns = mi._column_echelon
+        assert _exact(e for row in columns.rows for e in row.values())
+        kinds.update((type(e), type(e) is int or e.denominator == 1)
+                     for row in echelon.values() for e in row.values())
+
+        # the tagged reducer on the same rows: ints through _add (as solve
+        # inserts a matrix's columns), Fractions through add
+        red_i, red_f = SubspaceReducer(cols), SubspaceReducer(cols)
+        for k, (row_i, row_f) in enumerate(zip(ints, fracs)):
+            tag = {-1 - k: rng.choice((1, 2, -3))}
+            assert red_i._add(dict(row_i), dict(tag)) == red_f.add(row_f, tag)
+        # rows expands every tag, through the int division of _tag
+        assert red_i.rows == red_f.rows
+        assert _exact(e for row in red_i.rows for e in row.values())
+        for _ in range(3):
+            probe = {j: e for j in range(cols) if (e := rng.choice(_INTEGRAL_ENTRIES))}
+            got = red_i.residual(probe)
+            assert got == red_f.residual(probe) and _exact(got.values())
+    # the int echelons keep ints, and a non-unit pivot left true fractions
+    assert {(int, True), (Fraction, False)} <= kinds

@@ -84,3 +84,30 @@ def test_the_tower_knows_only_the_base_algebras_and_linear_algebra():
     path = Path(ncdef.__file__).parent / "tower.py"
     modules = {module for _line, module, _names in _ncdef_imports(path)}
     assert modules == {"matric", "linalg"}
+
+
+def test_every_division_in_the_package_is_exact():
+    # an entry is an int or a Fraction, and int / int is a float: each `/`
+    # is linalg._quotient's own, or has a module's Fraction constant _ONE
+    # on its left
+    found = []
+    for path in sorted(Path(ncdef.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        one_is_a_fraction = any(
+            isinstance(node, ast.Assign) and ast.unparse(node) == "_ONE = Fraction(1)"
+            for node in tree.body)
+        exempt = set()
+        if path.name == "linalg.py":
+            (quotient,) = [node for node in tree.body
+                           if isinstance(node, ast.FunctionDef) and node.name == "_quotient"]
+            exempt = {id(node) for node in ast.walk(quotient)}
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and not (
+                    one_is_a_fraction and isinstance(node.left, ast.Name)
+                    and node.left.id == "_ONE"):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
