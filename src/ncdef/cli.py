@@ -138,13 +138,14 @@ def _cmd_cohomology(args) -> int:
     run = {}
     for p in range(args.p_max):
         h = rc.cohomology(p)
+        coordinates = rc.coordinates(p)
         reps = []
         for vec in h.representatives:
             slots = {}
-            for t, entries in rc.blocks(p, vec).items():
-                for lbl, c in zip(functor.labels[rc.composites[p][t]], entries):
-                    if c:
-                        slots.setdefault("|".join(t), {})[lbl] = str(c)
+            for j, c in enumerate(vec):
+                if c:
+                    t, lbl = coordinates[j]
+                    slots.setdefault("|".join(t), {})[lbl] = str(c)
             reps.append(slots)
         run[str(p)] = {"dim": h.dim, "representatives": reps}
     payload = {

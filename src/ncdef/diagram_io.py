@@ -119,6 +119,12 @@ def _parse(data: dict) -> tuple[FiniteCategory, dict, dict, dict]:
     for entry in data["maps"]:
         f, alpha, beta = entry["of"], entry["alpha"], entry["beta"]
         g = base.compose(alpha, base.compose(f, beta))
+        if (f, alpha, beta) in mats:
+            raise InputError(f"more than one matrix for arrow ({f},{alpha},{beta})")
+        if entry["to"] != g:
+            raise InputError(
+                f"arrow ({f},{alpha},{beta}) goes to {g!r}, but its entry says {entry['to']!r}"
+            )
         lines = entry["matrix"]
         if len(lines) != dims[g] or any(len(line) != dims[f] for line in lines):
             raise InputError(

@@ -130,6 +130,31 @@ class FiniteCategory:
         )
         return ids + [m.name for m in rest]
 
+    def generators(self) -> list[str]:
+        """The non-identity arrows that generate the category under
+        composition, in ``sorted_morphisms`` order: the irreducible ones,
+        which are no composite of two non-identities, and then every arrow
+        that products of those do not reach. On a poset these are the
+        covering pairs; on a category without irreducibles, such as a
+        cyclic groupoid, they are all its non-identities."""
+        arrows = [f for f in self.sorted_morphisms() if not self.is_identity(f)]
+        composites = set()
+        for f in arrows:
+            for g in arrows:
+                if self.morphisms[f].tgt == self.morphisms[g].src:
+                    composites.add(self.compose(f, g))
+        irreducible = [f for f in arrows if f not in composites]
+        reached, todo = set(irreducible), list(irreducible)
+        while todo:
+            f = todo.pop()
+            for g in irreducible:
+                if self.morphisms[f].tgt == self.morphisms[g].src:
+                    h = self.compose(f, g)
+                    if h not in reached and not self.is_identity(h):
+                        reached.add(h)
+                        todo.append(h)
+        return irreducible + [f for f in arrows if f not in reached]
+
     def mor_arrows(self):
         """All morphisms of the category of morphisms: (f, alpha, beta) -> g."""
         out = []
@@ -165,31 +190,43 @@ class MorFunctor:
         return self.mats[(f, alpha, beta)]
 
     def check_functor(self):
-        """Identities map to identity matrices; arrow matrices compose."""
+        """Identities map to identity matrices; arrow matrices compose.
+
+        An arrow (alpha, beta) of the morphism category is (id, beta) after
+        (alpha, id), and each factor is a product of generators of the base:
+        its irreducible arrows (non-identities that are no composite of two
+        non-identities) and any arrow that products of those do not reach,
+        such as an idempotent e = e . e. So every arrow b is a product
+        s_k ... s_1 of the generating arrows (gamma, id) and (id, gamma).
+        The law G(s . a) = G(s) G(a) for every arrow a and generating s then
+        gives G(b . a) = G(b) G(a) by induction on k, since G(id) = 1: only
+        those pairs are multiplied out.
+        """
         for f in self.base.morphisms.values():
             ida = self.base.identity[f.src]
             idb = self.base.identity[f.tgt]
             if self.matrix(f.name, ida, idb) != Matrix.identity(self.dims[f.name]):
                 raise CategoryError(f"identity arrow at {f.name} is not the identity matrix")
-        # With the identity arrows mapping to identity matrices, a pair that
-        # composes with an identity arrow holds by the unit laws: skip it.
-        ids = set(self.base.identity.values())
-        arrows = self.base.mor_arrows()
-        arrows_from = {f: [] for f in self.base.morphisms}
-        for arrow in arrows:
-            if arrow[1] not in ids or arrow[2] not in ids:
-                arrows_from[arrow[0]].append(arrow)
-        for (f, alpha, beta, g) in arrows:
+        base = self.base
+        ids = set(base.identity.values())
+        into = {o: [] for o in base.objects}    # generators by target
+        out_of = {o: [] for o in base.objects}  # generators by source
+        for gamma in base.generators():
+            m = base.morphisms[gamma]
+            into[m.tgt].append(gamma)
+            out_of[m.src].append(gamma)
+        for (f, alpha, beta, g) in base.mor_arrows():
             m1 = self.matrix(f, alpha, beta)
             if (m1.rows, m1.cols) != (self.dims[g], self.dims[f]):
                 raise CategoryError(f"matrix shape mismatch at ({f},{alpha},{beta})")
             if alpha in ids and beta in ids:
                 continue
-            for (_g, alpha2, beta2, _h) in arrows_from[g]:
-                comp_alpha = self.base.compose(alpha2, alpha)
-                comp_beta = self.base.compose(beta, beta2)
+            src, tgt = base.morphisms[g].src, base.morphisms[g].tgt
+            pairs = [(gamma, base.identity[tgt]) for gamma in into[src]]
+            pairs += [(base.identity[src], gamma) for gamma in out_of[tgt]]
+            for alpha2, beta2 in pairs:
                 lhs = self.matrix(g, alpha2, beta2) @ m1
-                rhs = self.matrix(f, comp_alpha, comp_beta)
+                rhs = self.matrix(f, base.compose(alpha2, alpha), base.compose(beta, beta2))
                 if lhs != rhs:
                     raise CategoryError(
                         f"functoriality fails: ({alpha2},{beta2}).({alpha},{beta}) at {f}"
@@ -213,6 +250,12 @@ class ResolvingComplex:
     Degree p is the product of the functor values at the total composites
     over the admitted p-tuples (all tuples, or identity-free tuples in the
     normalized variant). Built up to and including degree p_max.
+
+    The functor is taken as certified (``MorFunctor.check_functor``): an
+    inner composition maps G(g) to itself by the identity, and the complex
+    places G's own matrix of the identity arrow at g there, which the unit
+    law makes the identity and which keeps a loaded diagram's ints. The
+    d . d = 0 check below still runs on every complex.
     """
 
     def __init__(self, base: FiniteCategory, G: MorFunctor, normalized: bool = True,
@@ -275,7 +318,6 @@ class ResolvingComplex:
         G = self.functor
         base = self.base
         blocks = []
-        units = {}  # dim -> the identity, shared by the merged blocks
         for t in self.tuples[p + 1]:
             phis = t  # p+1 morphism names (p=0: t is (object,) handled below)
             if p == 0:
@@ -289,6 +331,9 @@ class ResolvingComplex:
             first, rest = phis[0], phis[1:]
             src0 = base.morphisms[first].src
             tgt_last = base.morphisms[phis[-1]].tgt
+            # the merged blocks: G's identity-arrow matrix at t's composite
+            unit = G.matrix(self._value_at(p + 1, t), base.identity[src0],
+                            base.identity[tgt_last])
             if self._admitted(p, rest):
                 comp_rest = self._value_at(p, rest)
                 mat = G.matrix(comp_rest, first, base.identity[tgt_last])
@@ -297,10 +342,7 @@ class ResolvingComplex:
             for i in range(len(phis) - 1):
                 merged = phis[:i] + (base.compose(phis[i], phis[i + 1]),) + phis[i + 2:]
                 if self._admitted(p, merged):
-                    dim = G.dims[self._value_at(p + 1, t)]
-                    if dim not in units:
-                        units[dim] = Matrix.identity(dim)
-                    blocks.append(self._block(p + 1, t, p, merged, units[dim], sign))
+                    blocks.append(self._block(p + 1, t, p, merged, unit, sign))
                 sign = -sign
             head = phis[:-1]
             if self._admitted(p, head):
@@ -317,6 +359,13 @@ class ResolvingComplex:
             off = self.offsets[p][t]
             out[t] = list(vec[off: off + self.functor.dims[self._value_at(p, t)]])
         return out
+
+    def coordinates(self, p: int) -> list[tuple]:
+        """The (p-tuple, label) that each coordinate of a degree-p cochain
+        reports, in layout order: a cochain's nonzero entries are read
+        through it without cutting the vector into slots."""
+        labels = self.functor.labels
+        return [(t, label) for t in self.tuples[p] for label in labels[self._value_at(p, t)]]
 
     def cochain(self, p: int, blocks: dict) -> list[Fraction]:
         """The degree-p cochain vector with the given entries {p-tuple:

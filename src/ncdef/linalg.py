@@ -28,7 +28,10 @@ of 21 ``cohomology`` benchmark inputs (seed 711, 2-vCPU x86-64 VM), so
 matrices stay on Gauss-Jordan.
 
 ``SubspaceReducer`` grows an echelon one vector at a time, as in greedy
-complement selection; it accepts sparse dicts or dense vectors. Its rows
+complement selection; it accepts sparse dicts or dense vectors, and takes
+their int and Fraction entries as they are, so the boundaries of a loaded
+integral diagram enter and reduce as ints (any other entry becomes a
+Fraction; ``Matrix(...)`` and ``from_rows`` make every entry one). Its rows
 pivot on their last index and are forward-only: never edited once
 inserted, never back-substituted. A row may carry a tag on negative
 indices, the combination of inserted vectors it came from, kept factored
@@ -415,7 +418,7 @@ class SubspaceReducer:
         """
         v, own = _split(vec)
         if tag is not None:
-            own.update(_sparse(tag))
+            own.update(_exact(tag))
         return self._add(v, own)
 
     def _add(self, v: dict, tag: dict) -> bool:
@@ -461,9 +464,20 @@ class SubspaceReducer:
         return tags[p]
 
 
+def _exact(vec) -> dict:
+    """A fresh ``{index: entry}`` dict of the nonzero entries of a dict or
+    dense vector, keeping ints and Fractions as they are and making any
+    other entry a Fraction: the echelons' input path, where a loaded
+    diagram's integral boundaries stay ints."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return {k: f for k, e in items
+            if e and (f := e if e.__class__ is Fraction or e.__class__ is int
+                      else Fraction(e))}
+
+
 def _split(vec) -> tuple[dict, dict]:
     """Fresh sparse dicts of vec's vector part (indices >= 0) and tag."""
-    v = _sparse(vec)
+    v = _exact(vec)
     tag = {k: e for k, e in v.items() if k < 0}
     for k in tag:
         del v[k]

@@ -340,6 +340,29 @@ def test_cohomology_rejects_a_non_functorial_diagram(capsys, tmp_path):
     assert "functoriality fails: (U1>U12,id:U1V).(id:U12,U12>U1V) at id:U12" in err
 
 
+@pytest.mark.parametrize("change, message", [
+    ("repeat", "more than one matrix for arrow (id:U1,id:U1,U1>U3)"),
+    ("nonsense", "arrow (id:U1,id:U1,U1>U3) goes to 'U1>U3', but its entry says 'nonsense'"),
+    ("other", "arrow (id:U1,id:U1,U1>U3) goes to 'U1>U3', but its entry says 'U2>U3'"),
+], ids=["repeated-arrow", "to-nonsense", "to-another-morphism"])
+def test_cohomology_rejects_a_map_entry_that_misnames_its_arrow(capsys, tmp_path,
+                                                               change, message):
+    # a repeated (of, alpha, beta) would overwrite the earlier matrix, and a
+    # "to" other than beta . f . alpha would go unread: both exit 1
+    data = json.loads(DOCS_DIAGRAM.read_text())
+    (entry,) = [m for m in data["maps"]
+                if (m["of"], m["alpha"], m["beta"]) == ("id:U1", "id:U1", "U1>U3")]
+    if change == "repeat":
+        data["maps"].append({**entry, "matrix": [["0"] * len(line) for line in entry["matrix"]]})
+    else:
+        entry["to"] = "nonsense" if change == "nonsense" else "U2>U3"
+    path = tmp_path / "misnamed.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["cohomology", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("ncdef: ") and message in err
+
+
 @pytest.mark.parametrize("example", sorted(DOCS_DIAGRAM.parent.glob("*.json")),
                          ids=lambda path: path.name)
 def test_every_shipped_example_runs(capsys, example):

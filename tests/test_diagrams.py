@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +14,13 @@ from ncdef.diagrams import (
     build_resolving_complex,
     constant_functor,
 )
+from ncdef.diagram_io import load_functor
 from ncdef.linalg import Matrix, SubspaceReducer, image_basis, kernel_basis
 from ncdef.synthetic import random_hom_functor, random_poset
 from helpers import zero_functor
 from oracles import direct_limit_dim
+
+EXAMPLES = Path(__file__).resolve().parents[1] / "docs" / "examples"
 
 
 def elliptic_poset():
@@ -127,6 +131,89 @@ def test_check_functor_catches_one_changed_entry_of_a_hom_functor():
                 MorFunctor(chain, G.dims, mats, G.labels).check_functor()
             changed.add(to_zero)
     assert changed == {True, False}
+
+
+def _changed(m: Matrix) -> Matrix:
+    """m with its first entry moved by one."""
+    entries = [e for i in range(m.rows) for e in m.row(i)]
+    entries[0] += 1
+    return Matrix(m.rows, m.cols, entries)
+
+
+def _rejects(G: MorFunctor, key) -> bool:
+    mats = dict(G.mats)
+    mats[key] = _changed(mats[key])
+    try:
+        MorFunctor(G.base, G.dims, mats, G.labels).check_functor()
+    except CategoryError as exc:
+        return "functoriality fails" in str(exc)
+    return False
+
+
+def test_check_functor_catches_a_changed_composite_arrow_on_a_chain():
+    # on a < b < c < d the generators are the three covers; every arrow of
+    # the morphism category that is not (gamma, id) or (id, gamma) for one
+    # of them is a composite, whose changed matrix some checked pair reads
+    chain = FiniteCategory.poset("abcd", [("a", "b"), ("b", "c"), ("c", "d")])
+    assert chain.generators() == ["a>b", "b>c", "c>d"]
+    ids = set(chain.identity.values())
+    generating = {(gamma, i) for gamma in chain.generators() for i in ids}
+    generating |= {(i, gamma) for (gamma, i) in generating}
+    G = random_hom_functor(chain, random.Random(4))
+    G.check_functor()
+    composites = [key for key in G.mats
+                  if (key[1], key[2]) not in generating and {key[1], key[2]} - ids]
+    assert len(composites) == 13
+    assert all(_rejects(G, key) for key in composites)
+
+
+def _idempotent_category() -> FiniteCategory:
+    """One object and e . e = e."""
+    table = {("id:pt", "id:pt"): "id:pt", ("id:pt", "e"): "e", ("e", "id:pt"): "e",
+             ("e", "e"): "e"}
+    return FiniteCategory(["pt"], [Morphism("id:pt", "pt", "pt"), Morphism("e", "pt", "pt")],
+                          {"pt": "id:pt"}, table)
+
+
+def test_check_functor_takes_an_idempotent_as_a_generator():
+    # e = e . e is no irreducible arrow and none reaches it, so e generates:
+    # (e, id) is idempotent in the morphism category, and a matrix 2 there
+    # breaks the law (e, id).(e, id) = (e, id)
+    c = _idempotent_category()
+    assert c.generators() == ["e"]
+    G = constant_functor(c)
+    G.check_functor()
+    assert _rejects(G, ("e", "e", "id:pt"))
+    assert all(_rejects(G, key) for key in G.mats if key[1:] != ("id:pt", "id:pt"))
+
+
+def test_check_functor_on_the_groupoid_of_cyclic_relations():
+    # a > b > c > a closes to a groupoid in which every arrow is a composite
+    # of two others: no arrow is irreducible, all six generate, and a changed
+    # matrix at any non-identity arrow breaks G(x^-1) G(x) = 1
+    c = FiniteCategory.poset("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+    assert c.compose("a>b", "b>a") == "id:a"
+    assert sorted(c.generators()) == ["a>b", "a>c", "b>a", "b>c", "c>a", "c>b"]
+    G = constant_functor(c)
+    G.check_functor()
+    assert all(_rejects(G, key) for key in G.mats
+               if not (c.is_identity(key[1]) and c.is_identity(key[2])))
+
+
+@pytest.mark.parametrize("example, fractions", [
+    ("elliptic_a1_b1_ext1.json", [Fraction(31, 15)]),
+    ("synthetic_hom_seed243.json", []),
+], ids=["shipped", "synthetic"])
+@pytest.mark.parametrize("normalized", [True, False], ids=["normalized", "full"])
+def test_a_loaded_diagram_keeps_its_ints_in_the_differentials(example, fractions, normalized):
+    # the merged blocks are the functor's own identity-arrow matrices, so
+    # no Fraction 1 enters the differentials: every integral entry is an
+    # int, and the only Fractions are the diagram's own (one arrow of the
+    # shipped example holds 31/15; the synthetic draw is integral)
+    base, G = load_functor(EXAMPLES / example)
+    rc = build_resolving_complex(base, G, normalized=normalized, p_max=2)
+    entries = [e for p in range(2) for row in rc.differentials[p].sparse for e in row.values()]
+    assert entries and {abs(e) for e in entries if type(e) is not int} == set(fractions)
 
 
 def test_normalized_and_full_cohomology_dims_agree():

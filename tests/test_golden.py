@@ -6,10 +6,12 @@ answers keeps every file; one that changes a report on purpose
 regenerates the file with the same command and says so.
 """
 
+import random
 from pathlib import Path
 
 import pytest
 
+from ncdef import diagram_io, synthetic
 from ncdef.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -27,6 +29,11 @@ REPORTS = {
         ["hull", "docs/examples/elliptic_a1_b1_refined_curve.json", "--format", "json"],
     "cohomology_elliptic_a1_b1_refined_ext1.json":
         ["cohomology", "docs/examples/elliptic_a1_b1_refined_ext1.json", "--format", "json"],
+    "cohomology_synthetic_hom_seed243.json":
+        ["cohomology", "docs/examples/synthetic_hom_seed243.json", "--format", "json"],
+    "cohomology_synthetic_hom_seed243_full_complex.json":
+        ["cohomology", "docs/examples/synthetic_hom_seed243.json", "--full-complex",
+         "--format", "json"],
 }
 
 
@@ -41,3 +48,13 @@ def test_report_matches_golden_file(name, capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     assert main(REPORTS[name]) == 0
     assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_synthetic_example_is_its_seeded_draw(tmp_path):
+    # docs/diagram_schema.md gives the draw that made the synthetic input
+    rng = random.Random(243)
+    base = synthetic.random_poset(rng, 5)
+    fresh = tmp_path / "fresh.json"
+    diagram_io.dump_functor(base, synthetic.random_hom_functor(base, rng), fresh)
+    example = ROOT / "docs" / "examples" / "synthetic_hom_seed243.json"
+    assert fresh.read_text() == example.read_text()

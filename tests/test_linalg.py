@@ -626,3 +626,32 @@ def test_int_and_fraction_entries_eliminate_alike_and_never_to_a_float():
             assert got == red_f.residual(probe) and _exact(got.values())
     # the int echelons keep ints, and a non-unit pivot left true fractions
     assert {(int, True), (Fraction, False)} <= kinds
+
+
+def test_subspace_reducer_takes_int_vectors_as_they_are():
+    # add, residual and contains keep an int entry an int: the same pivots,
+    # rows and residuals as from the vectors made Fractions, and an echelon
+    # whose rows stayed integral reduces an int vector to ints
+    rng = random.Random(20261026)
+    integral = 0
+    for _ in range(150):
+        dim = rng.randint(1, 7)
+        vectors = [[rng.choice(_INTEGRAL_ENTRIES) for _ in range(dim)]
+                   for _ in range(rng.randint(0, 6))]
+        red_i, red_f = SubspaceReducer(dim), SubspaceReducer(dim)
+        for v in vectors:
+            assert red_i.add(v) == red_f.add([Fraction(e) for e in v])
+        assert red_i.pivots == red_f.pivots and red_i.rows == red_f.rows
+        assert all(type(e) is Fraction for row in red_f.rows for e in row.values())
+        # a row's pivot entry is the Fraction 1 (SubspaceReducer.rows)
+        rows_integral = all(type(e) is int for p, row in zip(red_i.pivots, red_i.rows)
+                            for j, e in row.items() if j != p)
+        for _ in range(3):
+            b = [rng.choice(_INTEGRAL_ENTRIES) for _ in range(dim)]
+            got = red_i.residual(b)
+            assert got == red_f.residual([Fraction(e) for e in b]) and _exact(got.values())
+            assert red_i.contains({j: e for j, e in enumerate(b) if e}) == red_f.contains(b)
+            if rows_integral:
+                assert all(type(e) is int for e in got.values())
+                integral += bool(got)
+    assert integral > 50
