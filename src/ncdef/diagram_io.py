@@ -90,10 +90,20 @@ def _parse(data: dict) -> tuple[FiniteCategory, dict, dict, dict]:
         )
     objects = data["objects"]
     relations = [(m["source"], m["target"]) for m in data["morphisms"]]
+    listed = set()
+    for src, tgt in relations:
+        if src == tgt:
+            raise InputError(f"morphism entry from {src!r} to itself: identities are implicit")
+        if (src, tgt) in listed:
+            raise InputError(f"morphism {src}>{tgt} is listed more than once")
+        listed.add((src, tgt))
     base = FiniteCategory.poset(objects, relations)
     for name in base.morphisms:
         if name not in data["values"]:
             raise InputError(f"no value space for morphism {name!r}")
+    for name in data["values"]:
+        if name not in base.morphisms:
+            raise InputError(f"value space {name!r} names no morphism")
     dims = {name: v["dim"] for name, v in data["values"].items()}
     for name, dim in dims.items():
         if type(dim) is not int or dim < 0:  # a float would be truncated, a bool read as 0 or 1
@@ -181,6 +191,7 @@ def load_hull_config(path) -> tuple[dict, int, int]:
         raise InputError(f"expected schema {HULL_SCHEMA!r}, got {config.get('schema')!r}")
     if config.get("kind") not in ("elliptic", "curve"):
         raise InputError(f"unsupported configuration kind {config.get('kind')!r}")
+    _known(config, _HULL_KEYS[config["kind"]], "hull configuration")
     limits = [config.get("hull_order", 4), config.get("dmax", 24)]
     for key, value in zip(("hull_order", "dmax"), limits):
         if type(value) is not int:  # a float would be truncated, a bool read as 0 or 1
@@ -218,6 +229,7 @@ class Curve:
             raise InputError("configuration lists no charts")
         for label, chart in charts.items():
             where = f"chart {label!r}"
+            _known(chart, _CHART_KEYS, where)
             algebra = PresentedAlgebra(
                 _strings(_get(chart, "variables", list, where), where),
                 _strings(_get(chart, "relations", list, where, []), where),
@@ -235,7 +247,7 @@ class Curve:
                                                       images, name=name)
         arrows = [tuple(name.split(">")) for name in self.restrictions]
         self.poset = FiniteCategory.poset(list(self.charts), arrows)
-        bases = _get(data, "bases", dict, "configuration", {})
+        bases = _known(_get(data, "bases", dict, "configuration", {}), _BASES_KEYS, "bases")
         self.ext1 = _get(bases, "ext1", dict, "bases", None)
         self.h0 = _get(bases, "h0", list, "bases", None)
         self.h1 = _get(bases, "h1", dict, "bases", None)
@@ -251,6 +263,25 @@ class Curve:
 
 _REQUIRED = object()
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+# the entries each object of a hull configuration may hold
+_HULL_KEYS = {
+    "elliptic": ("schema", "kind", "a", "b", "hull_order", "dmax"),
+    "curve": ("schema", "kind", "charts", "restrictions", "bases", "hull_order", "dmax"),
+}
+_CHART_KEYS = ("variables", "relations", "inverted", "derivation")
+_BASES_KEYS = ("ext1", "h0", "h1")
+
+
+def _known(entry, keys, where: str):
+    """entry, checked to be a JSON object with no key outside `keys`: a
+    misspelled key would otherwise be read as absent."""
+    if not isinstance(entry, dict):
+        raise InputError(f"{where} is not a JSON object")
+    for key in entry:
+        if key not in keys:
+            raise InputError(f"{where} has an unknown entry {key!r} "
+                             f"(expected one of {', '.join(keys)})")
+    return entry
 
 
 def _get(entry, key: str, kind: type, where: str, default=_REQUIRED):

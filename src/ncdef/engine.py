@@ -312,10 +312,6 @@ class ObstructionClass:
             out.append(MatricElement(self.base, terms))
         return out
 
-    def relation_elements(self) -> list[MatricElement]:
-        """The nonzero rows: one relation per obstruction basis vector."""
-        return [elem for elem in self.rows() if not elem.is_zero()]
-
 
 # ---------------------------------------------------------------------------
 

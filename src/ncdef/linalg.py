@@ -377,6 +377,14 @@ class SubspaceReducer:
         # its pivot entry) until first read, then the expanded dict
         self._tags: dict[int, tuple | dict] = {}
 
+    def copy(self) -> SubspaceReducer:
+        """An echelon of the same rows that grows apart from this one. The
+        rows are shared, as no row is edited once inserted."""
+        other = SubspaceReducer(self.dim)
+        other._tails = dict(self._tails)
+        other._tags = dict(self._tags)
+        return other
+
     @property
     def rows(self) -> list[dict[int, Fraction]]:
         return [{**tail, p: _ONE, **self._tag(p)} for p, tail in self._tails.items()]

@@ -226,24 +226,32 @@ class MatricArtin:
 
     The ideal is stored by generators and closed to a linear basis at the
     working truncation; the quotient basis is the canonical word complement,
-    and ``word_product`` tables the reduced product of two basis words.
+    and ``word_product`` tables the reduced product of two basis words. The
+    base is the free algebra or a quotient R of it: the quotient of R by
+    more generators starts from R's closed ideal, whose rows it shares.
     """
 
-    def __init__(self, free: MatricTruncatedFree, ideal_generators=(), name="R"):
+    def __init__(self, base, ideal_generators=(), name="R"):
+        gens = list(ideal_generators)
+        if isinstance(base, MatricArtin):
+            free, ech = base.free, base._ideal.copy()
+            self.ideal_generators = base.ideal_generators + gens
+        else:
+            free, ech = base, SubspaceReducer(base.dim)
+            self.ideal_generators = gens
         self.free = free
         self.p = free.p
         self.name = name
-        self.ideal_generators = list(ideal_generators)
-        for g in self.ideal_generators:
+        for g in gens:
             if any(free.word_length(w) == 0 for w in g.coeffs):
                 raise MatricError("ideal generator outside the radical")
         # two-sided closure: multiply by idempotents and length-1 generators;
         # for p = 1 the one idempotent is the unit, whose products add nothing.
-        # Only a vector that enlarged the echelon is multiplied further.
+        # Only a vector that enlarged the echelon is multiplied further, so a
+        # closed base ideal is not multiplied again.
         side = [free.idempotent(i) for i in range(1, free.p + 1)] if free.p > 1 else []
         side += free.generator_elements
-        ech = SubspaceReducer(free.dim)
-        work = deque(self.ideal_generators)
+        work = deque(gens)
         while work:
             s = work.popleft()
             if ech.add(free.sparse(s)):
@@ -355,8 +363,10 @@ class MatricArtin:
         return True
 
 
-def quotient(free: MatricTruncatedFree, ideal_generators, name="R") -> MatricArtin:
-    return MatricArtin(free, ideal_generators, name=name)
+def quotient(base, ideal_generators, name="R") -> MatricArtin:
+    """The quotient of the free algebra, or further quotient of a quotient,
+    by the two-sided ideal the generators generate."""
+    return MatricArtin(base, ideal_generators, name=name)
 
 
 def commutativization(R: MatricArtin) -> MatricArtin:
@@ -369,8 +379,7 @@ def commutativization(R: MatricArtin) -> MatricArtin:
             c = a * b - b * a
             if not c.is_zero():
                 comms.append(c)
-    gens = [MatricElement(free, dict(g.coeffs)) for g in R.ideal_generators] + comms
-    return MatricArtin(free, gens, name=f"{R.name}^c")
+    return quotient(R, comms, name=f"{R.name}^c")
 
 
 class SmallSurjection:

@@ -8,16 +8,17 @@ The tower drives any deformation problem that offers
 - ``validate(datum)``, the datum's defect, which has ``is_zero()``;
 - ``obstruction_class(defect, surj)``, the class of a defect along a small
   surjection R -> S. It has ``rows()`` (one element of R per obstruction
-  basis vector), ``relation_elements()`` (the nonzero rows) and a
-  ``witness`` correction with parts ``E`` and ``W``, always present: the
-  corrected datum's defect over R is the class itself, so it vanishes over
-  any quotient of R that kills the rows;
+  basis vector) and a ``witness`` correction with parts ``E`` and ``W``,
+  always present: the corrected datum's defect over R is the class itself,
+  so it vanishes over any quotient of R that kills the rows;
 
 and whose data offer ``rebase_section(base)`` (the same datum over a larger
 quotient of T), ``corrected(E, W)`` and ``push(word_image, base)`` (the
 datum along a base map, given on basis words). Each step validates the
-naive lift, takes its one class, divides the relations out and pushes the
-corrected lift there, exactly in the tower of the obstruction morphism.
+naive lift, takes its one class, divides its nonzero rows out and pushes
+the corrected lift there, exactly in the tower of the obstruction
+morphism; the zero-defect certificate there fails if the rows do not
+kill the class.
 
 Base words are the 1-pointed words of ``matric``: ``("e", 1)`` and
 ``("w", indices)`` with 0-based generator indices, so the coefficient of
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import SubspaceReducer
 from .matric import (
     MatricElement,
     MatricGeneratorSet,
@@ -62,12 +62,16 @@ def hull(problem, max_order: int) -> HullResult:
     hull H = T/a in T/I^(n+1), the free algebra truncated at the step's
     own order, where a is spanned by H's ideal basis and the words of
     length n, and b = I a + a I by their products with the generators.
-    The naive lift's obstruction along T/b -> T/a gives the relations
-    (and at n = 2 the cup table). By naturality its image along
-    T/b -> T/(b + relations) is the obstruction there, zero once that
-    quotient kills every row, and the class's witness, pushed there,
-    corrects the lift. The kernel of T/(b + relations) -> T/a is the image
-    of that of T/b -> T/a, so the one small surjection covers both.
+    The step closes b once; H and H_(n+1) = T/(b + rows) are further
+    quotients of T/b. The naive lift's obstruction along T/b -> T/a gives
+    the rows (and at n = 2 the cup table), which T/b -> H_(n+1) kills, and
+    the class's witness, pushed there, corrects the lift. The kernel of
+    H_(n+1) -> T/a is the image of that of T/b -> T/a, so the one small
+    surjection covers both.
+
+    The relations are one per obstruction coordinate alpha: its latest
+    nonzero row, Laudal's f_alpha refined order by order, which replaces
+    the earlier one.
     """
     if max_order < 2:
         raise DeformationError("hull order must be >= 2")
@@ -77,7 +81,7 @@ def hull(problem, max_order: int) -> HullResult:
     first_defect = defect = problem.validate(datum)
     if not defect.is_zero():
         raise DeformationError("the first-order datum fails to validate")
-    relations: list[MatricElement] = []
+    relations: dict[int, MatricElement] = {}  # obstruction coordinate -> f_alpha
     new_by_order: dict[int, list[str]] = {}
     cup_table = None
     for n in range(2, max_order):
@@ -87,7 +91,7 @@ def hull(problem, max_order: int) -> HullResult:
         b_gens = [prod for g in a_basis for t in free.generator_elements
                   for prod in (t * g, g * t) if not prod.is_zero()]
         Rp = quotient(free, b_gens, name=f"T/b{n}")
-        H = quotient(free, a_basis, name=H.name)  # H re-presented in this truncation
+        H = quotient(Rp, a_basis, name=H.name)  # H re-presented in this truncation
         surj = SmallSurjection(Rp, H)
         lift = datum.rebase_section(Rp)
         obst = problem.obstruction_class(problem.validate(lift), surj)
@@ -95,26 +99,15 @@ def hull(problem, max_order: int) -> HullResult:
         if n == 2:
             cup_table = {(l, m): [e.coeffs.get(("w", (l - 1, m - 1)), _ZERO) for e in rows]
                          for l in range(1, r + 1) for m in range(1, r + 1)}
-        rels = [_normalize_relation(e) for e in obst.relation_elements()]
-        H_next = quotient(free, b_gens + [free.element(rel.coeffs) for rel in rels],
-                          name=f"H{n + 1}")
-        # the earlier relations lie in a and I a + a I = b, so b plus their
-        # span is already a two-sided ideal: a relation is fresh when its
-        # T/b reduction is not in the span of theirs
-        known = SubspaceReducer(Rp.dim)
-        for rel in relations:
-            known.add(Rp.sparse(Rp.reduce(rel)))
-        fresh = [rel for rel in rels if not known.contains(Rp.sparse(rel))]
+        current = {alpha: _normalize_relation(free.element(row.coeffs))
+                   for alpha, row in enumerate(rows) if not row.is_zero()}
+        new_by_order[n + 1] = [str(rel) for alpha, rel in current.items()
+                               if alpha not in relations]
+        relations.update(current)
+        H_next = quotient(Rp, list(current.values()), name=f"H{n + 1}")
         # tower coherence: H_(n+1) / I^n recovers H_n
         if H_next.dim - len(H_next.radical_basis(n)) != H.dim:
             raise DeformationError(f"tower coherence fails at order {n + 1}")
-        # the class's image along T/b -> H_(n+1) is the obstruction of the
-        # lift there, and it vanishes when H_(n+1) kills every row
-        if not all(H_next.in_ideal(row) for row in rows):
-            raise NoLiftPossible(
-                f"obstruction did not vanish after enlarging the ideal at "
-                f"order {n + 1}"
-            )
         images = {w: H_next.element({w: _ONE}) for w in Rp.qbasis}
         datum = (lift.corrected(obst.witness.E, obst.witness.W)
                  .push(images.__getitem__, H_next))
@@ -122,10 +115,8 @@ def hull(problem, max_order: int) -> HullResult:
         if not defect.is_zero():
             raise NoLiftPossible(f"corrected datum fails to validate at order {n + 1}")
         H = H_next
-        relations = _merge_relations(relations, rels)
-        new_by_order[n + 1] = [str(rel) for rel in fresh]
-    return HullResult(max_order, H, relations, new_by_order, datum, defect,
-                      first_defect, cup_table)
+    return HullResult(max_order, H, list(relations.values()), new_by_order, datum,
+                      defect, first_defect, cup_table)
 
 
 class HullResult:
@@ -172,10 +163,3 @@ def _normalize_relation(elem: MatricElement) -> MatricElement:
     lead = max(elem.coeffs, key=_leading_key)
     return elem.scale(_ONE / elem.coeffs[lead])
 
-
-def _merge_relations(old: list, new: list) -> list:
-    out = list(old)
-    for rel in new:
-        if not any(rel.coeffs == r.coeffs for r in out):
-            out.append(rel)
-    return out

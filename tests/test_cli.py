@@ -218,6 +218,16 @@ def _chain(config):
      "bad hull configuration entry: a is not a rational string"),
     ({"schema": "ncdef-hull/1", "kind": "curve", "charts": {}, "restrictions": {}},
      "configuration lists no charts"),
+    # a misspelled key would be read as absent: the default order, no basis
+    ({**json.loads(DOCS_CURVE.with_name("gm_curve.json").read_text()), "hull_ordr": 7},
+     "hull configuration has an unknown entry 'hull_ordr'"),
+    (_curve(lambda c: c["bases"].__setitem__("h_1", c["bases"].pop("h1"))),
+     "bases has an unknown entry 'h_1'"),
+    (_curve(lambda c: c["charts"]["U3"].__setitem__("invert", c["charts"]["U3"].pop("inverted"))),
+     "chart 'U3' has an unknown entry 'invert'"),
+    ({"schema": "ncdef-hull/1", "kind": "elliptic", "a": "1", "b": "1", "bases": {}},
+     "hull configuration has an unknown entry 'bases'"),
+    (_curve(lambda c: c.__setitem__("a", "1")), "hull configuration has an unknown entry 'a'"),
 ])
 def test_malformed_curve_configs_exit_one(capsys, tmp_path, config, message):
     path = tmp_path / "config.json"
@@ -561,6 +571,25 @@ def test_cohomology_rejects_float_and_bool_numbers(capsys, tmp_path, where, valu
     else:
         data["objects"] = value
     path = tmp_path / "numbers.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(["cohomology", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("ncdef: ") and message in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["morphisms"].append(dict(d["morphisms"][0])), "is listed more than once"),
+    (lambda d: d["morphisms"].append({"source": d["objects"][0], "target": d["objects"][0]}),
+     "to itself: identities are implicit"),
+    (lambda d: d["values"].__setitem__("nowhere", {"dim": 0}),
+     "value space 'nowhere' names no morphism"),
+], ids=["repeated", "self-loop", "unknown-value"])
+def test_cohomology_rejects_bad_morphism_entries(capsys, tmp_path, edit, message):
+    # at most one morphism per ordered pair of distinct objects, and one
+    # value space per morphism: each of these loaded before without a word
+    data = json.loads(DOCS_DIAGRAM.with_name("synthetic_hom_seed243.json").read_text())
+    edit(data)
+    path = tmp_path / "morphisms.json"
     path.write_text(json.dumps(data))
     code, out, err = run_cli(["cohomology", str(path)], capsys)
     assert (code, out) == (1, "")

@@ -205,11 +205,10 @@ def test_second_order_obstruction_class_is_commutator(ctx11):
     datum = ctx11.first_order_datum(Rp)
     obst = ctx11.obstruction_class(ctx11.validate(datum), surj)
     assert not obst.is_zero()
-    rels = obst.relation_elements()
-    assert len(rels) == 1
+    (row,) = obst.rows()
     from ncdef.tower import _normalize_relation
 
-    assert str(_normalize_relation(rels[0])) == "t1*t2 - t2*t1"
+    assert str(_normalize_relation(row)) == "t1*t2 - t2*t1"
     # the witness leaves only the class, which T/(b + commutator) kills
     H3 = quotient(base.free, [commutator(base.free)], name="H3")
     corrected = datum.corrected(obst.witness.E, obst.witness.W)
@@ -417,22 +416,25 @@ def test_hull_order_five_keeps_the_same_relations(ctx11):
 
 
 def test_hull_step_closes_its_relations_once_they_repeat(ctx11, monkeypatch):
-    # each step closes three ideals: T/b, H re-presented and the next hull;
-    # freshness is a span test in T/b, not a fourth quotient
+    # each step closes one ideal from the free algebra T, that of T/b; H
+    # re-presented and the next hull are further quotients of T/b
     from ncdef import tower
+    from ncdef.matric import MatricArtin
 
-    names = []
+    closures = []
     real = tower.quotient
 
-    def counting(free, gens, name="R"):
-        names.append(name)
-        return real(free, gens, name=name)
+    def counting(base, gens, name="R"):
+        closures.append((base.name if isinstance(base, MatricArtin) else "T", name))
+        return real(base, gens, name=name)
 
     monkeypatch.setattr(tower, "quotient", counting)
-    result = ctx11.hull_compute(6)
+    result = ctx11.hull_compute(8)
     assert result.relation_strings() == ["t1*t2 - t2*t1"]
-    assert names == ["H2", "T/b2", "H2", "H3",
-                     "T/b3", "H3", "H4", "T/b4", "H4", "H5", "T/b5", "H5", "H6"]
+    assert closures == [("T", "H2")] + [
+        closure for n in range(2, 8)
+        for closure in (("T", f"T/b{n}"), (f"T/b{n}", f"H{n}"), (f"T/b{n}", f"H{n + 1}"))]
+    assert sum(base == "T" for base, _name in closures) == 7
 
 
 @pytest.mark.parametrize("a, b", [(Fraction(1), Fraction(1)),
@@ -456,21 +458,21 @@ def _drop_tau(real):
     return first_order_datum
 
 
-def _relations_after_the_first(real):
+def _rows_after_the_first(real):
     calls = []
 
-    def relation_elements(self):
+    def rows(self):
         calls.append(self)
         return real(self) if len(calls) == 1 else []
-    return relation_elements
+    return rows
 
 
 @pytest.mark.parametrize("target, mutate, error", [
     ("EngineContext.first_order_datum", _drop_tau,
      "the first-order datum fails to validate"),
-    ("ObstructionClass.relation_elements", lambda real: lambda self: [],
-     "obstruction did not vanish after enlarging the ideal at order 3"),
-    ("ObstructionClass.relation_elements", _relations_after_the_first,
+    ("ObstructionClass.rows", lambda real: lambda self: [],
+     "corrected datum fails to validate at order 3"),
+    ("ObstructionClass.rows", _rows_after_the_first,
      "tower coherence fails at order 4"),
     ("DeformationDatum.corrected", lambda real: lambda self, E, W: self,
      "corrected datum fails to validate at order 3"),

@@ -561,6 +561,20 @@ def test_membership_reads_the_vector_part_of_a_tagged_echelon():
     assert red.residual({0: 1}) == {-1: -1}
 
 
+def test_a_copy_shares_the_rows_and_grows_apart():
+    red = SubspaceReducer(4)
+    red.add({0: 1, 2: 2}, {-1: 1})
+    red.add({0: 1, 1: 1}, {-2: 1})
+    copy = red.copy()
+    assert (copy.pivots, copy.rows) == (red.pivots, red.rows)
+    # each grows on its own, and neither sees the other's new row
+    assert copy.add({0: 1}, {-3: 1}) and red.add({3: 1, 2: 1}, {-4: 1})
+    assert copy.residual({0: 1}) == {-3: -1} and red.residual({0: 1}) == {0: 1}
+    assert not copy.contains({3: 1}) and red.contains({3: 1, 0: Fraction(-1, 2)})
+    assert copy.pivots == [2, 1, 0] and red.pivots == [2, 1, 3]
+    assert red.rows[:2] == copy.rows[:2]
+
+
 # --- integral entries ----------------------------------------------------------
 
 

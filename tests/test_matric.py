@@ -179,6 +179,32 @@ def _random_artin(rng, p, N=3):
     return quotient(free, gens)
 
 
+def test_a_further_quotient_is_the_quotient_by_both_generator_lists():
+    # quotient(R, extra) starts from R's closed ideal; it must equal the
+    # quotient of the free algebra by R's generators and extra, and leave R
+    rng = random.Random(20261021)
+    for _ in range(120):
+        p = rng.randint(1, 3)
+        R = _random_artin(rng, p)
+        before = (list(R.qbasis), [g.coeffs for g in R.ideal_basis()])
+        rad = R.free.radical_words(1)
+        extra = [R.free.element({w: Fraction(rng.randint(-3, 3)) for w in
+                                 rng.sample(rad, min(len(rad), rng.randint(1, 3)))})
+                 for _ in range(rng.randint(0, 2))]
+        S = quotient(R, extra)
+        direct = quotient(R.free, R.ideal_generators + extra)
+        assert S.ideal_generators == R.ideal_generators + extra
+        assert S.qbasis == direct.qbasis
+        for w in R.free.basis:
+            e = R.free.element({w: Fraction(1)}) + R.free.element(
+                {v: Fraction(rng.randint(-2, 2)) for v in rng.sample(R.free.basis, 2)})
+            assert S.reduce(e) == direct.reduce(e)
+        for u in S.qbasis:
+            for v in S.qbasis:
+                assert S.word_product(u, v) == direct.word_product(u, v)
+        assert (R.qbasis, [g.coeffs for g in R.ideal_basis()]) == before
+
+
 def test_matric_components_decompose_randomized():
     rng = random.Random(2024)
     for _ in range(15):

@@ -78,12 +78,12 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
-def test_the_tower_knows_only_the_base_algebras_and_linear_algebra():
+def test_the_tower_knows_only_the_base_algebras():
     # tower drives any deformation problem through its interface, so it
     # imports no module that knows a particular problem
     path = Path(ncdef.__file__).parent / "tower.py"
     modules = {module for _line, module, _names in _ncdef_imports(path)}
-    assert modules == {"matric", "linalg"}
+    assert modules == {"matric"}
 
 
 def test_every_division_in_the_package_is_exact():

@@ -2,16 +2,16 @@
 
 Each fake offers only the interface ``tower.hull`` documents, so any other
 call fails. An unobstructed problem, as on a hereditary category, has the
-free hull: the completed free algebra on its tangent directions.
+free hull: the completed free algebra on its tangent directions. The point
+of a plane curve has the completed local ring of the curve there.
 """
 
-import re
 from types import SimpleNamespace
 
 import pytest
 
-from ncdef.matric import MatricElement
-from ncdef.tower import NoLiftPossible, hull
+from ncdef.matric import MatricElement, quotient
+from ncdef.tower import hull
 
 
 class Zero:
@@ -31,17 +31,15 @@ class Datum:
 
 
 class Class:
-    """A class with one obstruction basis vector, and its kernel row."""
+    """A class given by its kernel rows, one per obstruction basis vector,
+    with a zero witness."""
 
-    def __init__(self, row, witness):
-        self.row = row
-        self.witness = witness
+    def __init__(self, rows):
+        self._rows = rows
+        self.witness = SimpleNamespace(E={}, W={})
 
     def rows(self):
-        return [self.row]
-
-    def relation_elements(self):
-        return [] if self.row.is_zero() else [self.row]
+        return self._rows
 
 
 class Unobstructed:
@@ -57,7 +55,7 @@ class Unobstructed:
         return Zero()
 
     def obstruction_class(self, defect, surj):
-        return Class(MatricElement(surj.source, {}), SimpleNamespace(E={}, W={}))
+        return Class([MatricElement(surj.source, {})])
 
 
 class Counting(Unobstructed):
@@ -76,19 +74,95 @@ class Counting(Unobstructed):
         return super().obstruction_class(defect, surj)
 
 
-class RowWithoutRelation(Class):
-    """A class whose row never reaches the tower as a relation."""
+class Point:
+    """A point of a plane curve f(X, Y) = 0 over a base R: the images x and
+    y of X and Y, in the radical of R."""
 
-    def relation_elements(self):
-        return []
+    def __init__(self, base, x, y):
+        self.base, self.x, self.y = base, x, y
+
+    def rebase_section(self, base):
+        return Point(base, base.element(self.x.coeffs), base.element(self.y.coeffs))
+
+    def corrected(self, E, W):
+        return self
+
+    def push(self, word_image, base):
+        def image(e):
+            out = base.zero()
+            for w, c in e.coeffs.items():
+                out = out + word_image(w).scale(c)
+            return out
+        return Point(base, image(self.x), image(self.y))
 
 
-class RelationDropped(Unobstructed):
-    """The class is the first kernel vector of every small surjection, but
-    its relation is dropped, so the enlarged ideal does not kill it."""
+class Defect:
+    def __init__(self, parts):
+        self.parts = parts
+
+    def is_zero(self):
+        return all(e.is_zero() for e in self.parts)
+
+
+class PointModule:
+    """Rank-one deformations of the point module of the origin on the plane
+    curve f(X, Y) = 0. A datum over R is an algebra map k[X, Y]/(f) -> R,
+    so its defect is ([x, y], f(x, y)). Both relations lie in m^2, so the
+    defect of a lift along a small surjection is its own class, with a zero
+    witness, and the hull is the completed local ring of the point."""
+
+    tangent_dim = 2
+
+    def __init__(self, f):
+        self.f = f  # {(i, j): c} for the terms c X^i Y^j
+
+    def first_order_datum(self, base):
+        return Point(base, base.generator("t1"), base.generator("t2"))
+
+    def validate(self, datum):
+        R, x, y = datum.base, datum.x, datum.y
+        f = R.zero()
+        for (i, j), c in self.f.items():
+            term = R.one()
+            for factor in [x] * i + [y] * j:
+                term = term * factor
+            f = f + term.scale(c)
+        return Defect([x * y - y * x, f])
 
     def obstruction_class(self, defect, surj):
-        return RowWithoutRelation(surj.kernel_basis[0], SimpleNamespace(E={}, W={}))
+        return Class(defect.parts)
+
+
+SINGULAR_CURVES = {
+    "cusp": {(0, 2): 1, (3, 0): -1},
+    "node": {(0, 2): 1, (2, 0): -1, (3, 0): -1},
+    "y2_x5": {(0, 2): 1, (5, 0): -1},
+}
+
+
+@pytest.mark.parametrize("f", SINGULAR_CURVES.values(), ids=SINGULAR_CURVES)
+def test_the_relations_generate_the_hull_of_a_point(f):
+    # the hull of the point is the completed local ring: its graded pieces
+    # have the Hilbert-Samuel dims 1, 2, 2, ... of a double point, and the
+    # reported relations, one refined f_alpha per obstruction coordinate,
+    # cut out exactly the hull in the free algebra cut at I^order
+    for order in range(3, 7):
+        result = hull(PointModule(f), order)
+        H = result.hull
+        assert H.radical_dims_by_order() == [1, 2, 2, 2, 2, 2][:order]
+        assert all(H.in_ideal(rel) for rel in result.relations)
+        free = H.free
+        spanned = quotient(free, [free.element(rel.coeffs) for rel in result.relations])
+        assert spanned.qbasis == H.qbasis
+
+
+def test_the_cusp_reports_its_refined_relation_once():
+    # the order-3 row t2^2 is refined at order 4 to t1^3 - t2^2, which
+    # replaces it and is not a new relation
+    result = hull(PointModule(SINGULAR_CURVES["cusp"]), 6)
+    assert result.relation_strings() == ["t1*t2 - t2*t1", "-t2*t2 + t1*t1*t1"]
+    assert result.new_relations_by_order == {3: ["t1*t2 - t2*t1", "t2*t2"],
+                                             4: [], 5: [], 6: []}
 
 
 @pytest.mark.parametrize("r", [1, 2, 3])
@@ -109,9 +183,3 @@ def test_each_step_validates_twice_and_obstructs_once(order):
     hull(problem, order)
     assert problem.validated == 1 + 2 * (order - 2)
     assert problem.obstructed == order - 2
-
-
-def test_an_obstruction_that_survives_the_relations_raises():
-    with pytest.raises(NoLiftPossible, match=re.escape(
-            "obstruction did not vanish after enlarging the ideal at order 3")):
-        hull(RelationDropped(2), 4)
