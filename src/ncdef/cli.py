@@ -13,6 +13,7 @@ exception is a bug and propagates.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -69,7 +70,10 @@ def _attach_negative_rationals(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The `ncdef` parser, built once per process: parsing leaves it as it
+    was, and callers must not edit it."""
     parser = argparse.ArgumentParser(
         prog="ncdef",
         description="Exact noncommutative deformation calculus on finite covers",

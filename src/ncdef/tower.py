@@ -60,14 +60,24 @@ def hull(problem, max_order: int) -> HullResult:
 
     Starts from the first-order datum over T/I^2. Step n lifts the order-n
     hull H = T/a in T/I^(n+1), the free algebra truncated at the step's
-    own order, where a is spanned by H's ideal basis and the words of
-    length n, and b = I a + a I by their products with the generators.
-    The step closes b once; H and H_(n+1) = T/(b + rows) are further
-    quotients of T/b. The naive lift's obstruction along T/b -> T/a gives
-    the rows (and at n = 2 the cup table), which T/b -> H_(n+1) kills, and
-    the class's witness, pushed there, corrects the lift. The kernel of
-    H_(n+1) -> T/a is the image of that of T/b -> T/a, so the one small
-    surjection covers both.
+    own order. H is carried as the nonzero rows it was presented by, the
+    ones the previous step divided out (none at n = 2): a = (rows) + I^n,
+    and b = I a + a I is generated by t r and r t over those rows r and
+    the generators t. The step closes b once; H and H_(n+1) = T/(b + rows)
+    are further quotients of T/b. The naive lift's obstruction along
+    T/b -> T/a gives the rows (and at n = 2 the cup table), which
+    T/b -> H_(n+1) kills, and the class's witness, pushed there, corrects
+    the lift. The kernel of H_(n+1) -> T/a is the image of that of
+    T/b -> T/a, so the one small surjection covers both.
+
+    Carrying the rows alone is exact. Tower coherence, certified at every
+    step, gives a = b + (rows) + I^n, so b = I a + a I lies in
+    I b + b I + (rows). Each pass of that inclusion adds a letter to the
+    b term, and after n passes it lies in I^(n+1) = 0, so b lies in
+    (rows) and H_(n+1) = T/(rows). The next step's a is therefore
+    (rows) + I^(n+1), and its b is generated by t r and r t. The rows
+    carried are this step's nonzero ones: the relations below keep a
+    coordinate's last nonzero row even after that row turns zero.
 
     The relations are one per obstruction coordinate alpha: its latest
     nonzero row, Laudal's f_alpha refined order by order, which replaces
@@ -84,14 +94,15 @@ def hull(problem, max_order: int) -> HullResult:
     relations: dict[int, MatricElement] = {}  # obstruction coordinate -> f_alpha
     new_by_order: dict[int, list[str]] = {}
     cup_table = None
+    carried: list[MatricElement] = []  # the nonzero rows H = T/(rows) was built from
     for n in range(2, max_order):
         free = tangent_free(r, n + 1)
-        a_basis = [free.element(g.coeffs) for g in H.ideal_basis()]
-        a_basis += [free.element({w: _ONE}) for w in free.radical_words(n)]
-        b_gens = [prod for g in a_basis for t in free.generator_elements
-                  for prod in (t * g, g * t) if not prod.is_zero()]
+        f_rows = [free.element(row.coeffs) for row in carried]
+        b_gens = [prod for row in f_rows for t in free.generator_elements
+                  for prod in (t * row, row * t) if not prod.is_zero()]
         Rp = quotient(free, b_gens, name=f"T/b{n}")
-        H = quotient(Rp, a_basis, name=H.name)  # H re-presented in this truncation
+        a_gens = f_rows + [free.element({w: _ONE}) for w in free.radical_words(n)]
+        H = quotient(Rp, a_gens, name=H.name)  # H re-presented in this truncation
         surj = SmallSurjection(Rp, H)
         lift = datum.rebase_section(Rp)
         obst = problem.obstruction_class(problem.validate(lift), surj)
@@ -104,7 +115,8 @@ def hull(problem, max_order: int) -> HullResult:
         new_by_order[n + 1] = [str(rel) for alpha, rel in current.items()
                                if alpha not in relations]
         relations.update(current)
-        H_next = quotient(Rp, list(current.values()), name=f"H{n + 1}")
+        carried = list(current.values())
+        H_next = quotient(Rp, carried, name=f"H{n + 1}")
         # tower coherence: H_(n+1) / I^n recovers H_n
         if H_next.dim - len(H_next.radical_basis(n)) != H.dim:
             raise DeformationError(f"tower coherence fails at order {n + 1}")

@@ -46,6 +46,24 @@ def test_usage_error_exit_two(capsys):
     assert code == 2
 
 
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    # a usage error leaves the parser reusable, so main builds it once
+    import argparse
+
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "ncdef":
+            built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    assert run_cli(["elliptic", "--a", "1"], capsys)[0] == 2
+    assert run_cli(["cohomology", str(DOCS_DIAGRAM), "--format", "json"], capsys)[0] == 0
+    assert len(built) <= 1
+
+
 def test_same_inputs_byte_identical_json(capsys, tmp_path):
     paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
     for p in paths:

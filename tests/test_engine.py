@@ -417,24 +417,57 @@ def test_hull_order_five_keeps_the_same_relations(ctx11):
 
 def test_hull_step_closes_its_relations_once_they_repeat(ctx11, monkeypatch):
     # each step closes one ideal from the free algebra T, that of T/b; H
-    # re-presented and the next hull are further quotients of T/b
+    # re-presented and the next hull are further quotients of T/b. T/b{n}
+    # closes from t*r and r*t over the rows r that H{n} was built from, the
+    # generators of step n - 1's next hull: none at n = 2, then 2 * 2
+    # products of the one commutator
     from ncdef import tower
     from ncdef.matric import MatricArtin
 
-    closures = []
+    closures, gens_of = [], {}
     real = tower.quotient
 
-    def counting(base, gens, name="R"):
-        closures.append((base.name if isinstance(base, MatricArtin) else "T", name))
+    def recording(base, gens, name="R"):
+        closure = (base.name if isinstance(base, MatricArtin) else "T", name)
+        closures.append(closure)
+        gens_of[closure] = list(gens)
         return real(base, gens, name=name)
 
-    monkeypatch.setattr(tower, "quotient", counting)
+    monkeypatch.setattr(tower, "quotient", recording)
     result = ctx11.hull_compute(8)
     assert result.relation_strings() == ["t1*t2 - t2*t1"]
     assert closures == [("T", "H2")] + [
         closure for n in range(2, 8)
         for closure in (("T", f"T/b{n}"), (f"T/b{n}", f"H{n}"), (f"T/b{n}", f"H{n + 1}"))]
     assert sum(base == "T" for base, _name in closures) == 7
+    assert [len(gens_of["T", f"T/b{n}"]) for n in range(2, 8)] == [0, 4, 4, 4, 4, 4]
+    for n in range(3, 8):
+        seeds = gens_of["T", f"T/b{n}"]
+        free = seeds[0].parent
+        rows = [free.element(g.coeffs) for g in gens_of[f"T/b{n - 1}", f"H{n}"]]
+        assert [str(row) for row in rows] == ["t1*t2 - t2*t1"]
+        assert seeds == [p for row in rows for t in free.generator_elements
+                         for p in (t * row, row * t)]
+
+
+def test_hull_never_reads_an_ideal_echelon(ctx11, monkeypatch):
+    # the tower carries its hull as rows; only SmallSurjection, inside
+    # matric, still reads a target's ideal basis
+    import sys
+
+    from ncdef.matric import MatricArtin
+
+    real = MatricArtin.ideal_basis
+
+    def guarded(self):
+        if sys._getframe(1).f_globals["__name__"] != "ncdef.matric":
+            raise AssertionError("ideal_basis called outside matric")
+        return real(self)
+
+    monkeypatch.setattr(MatricArtin, "ideal_basis", guarded)
+    result = ctx11.hull_compute(6)
+    assert result.relation_strings() == ["t1*t2 - t2*t1"]
+    assert result.versal_defect.is_zero()
 
 
 @pytest.mark.parametrize("a, b", [(Fraction(1), Fraction(1)),

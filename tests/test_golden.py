@@ -23,10 +23,20 @@ REPORTS = {
     "elliptic_a-2over3_b5over7_order4_full_complex.json":
         ["elliptic", "--a", "-2/3", "--b", "5/7", "--hull-order", "4", "--full-complex",
          "--format", "json"],
+    "elliptic_a0_b2_order8.json":
+        ["elliptic", "--a", "0", "--b", "2", "--hull-order", "8", "--format", "json"],
     "hull_elliptic_a1_b1_curve.json":
         ["hull", "docs/examples/elliptic_a1_b1_curve.json", "--format", "json"],
     "hull_elliptic_a1_b1_refined_curve.json":
         ["hull", "docs/examples/elliptic_a1_b1_refined_curve.json", "--format", "json"],
+    "hull_genus2_affine_curve.json":
+        ["hull", "docs/examples/genus2_affine_curve.json", "--format", "json"],
+    "hull_gm_curve.json":
+        ["hull", "docs/examples/gm_curve.json", "--format", "json"],
+    "hull_p1_minus_three_points_curve.json":
+        ["hull", "docs/examples/p1_minus_three_points_curve.json", "--format", "json"],
+    "hull_punctured_cubic_a1_b1_curve.json":
+        ["hull", "docs/examples/punctured_cubic_a1_b1_curve.json", "--format", "json"],
     "cohomology_elliptic_a1_b1_refined_ext1.json":
         ["cohomology", "docs/examples/elliptic_a1_b1_refined_ext1.json", "--format", "json"],
     "cohomology_synthetic_hom_seed243.json":
