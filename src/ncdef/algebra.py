@@ -26,10 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .linalg import Matrix, axpy, format_terms
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .linalg import Matrix, axpy, exact, format_terms
 
 
 class AlgebraError(ValueError):
@@ -49,7 +46,7 @@ class TruncationEscape(AlgebraError):
 
 
 # ---------------------------------------------------------------------------
-# raw polynomial arithmetic on {exponent tuple: Fraction} dicts
+# raw polynomial arithmetic on {exponent tuple: coefficient} dicts
 
 def _deglex_key(mono):
     return (sum(mono), mono)
@@ -57,7 +54,7 @@ def _deglex_key(mono):
 
 def p_add(p, q):
     out = dict(p)
-    axpy(out, _ONE, q)
+    axpy(out, 1, q)
     return out
 
 
@@ -69,7 +66,7 @@ def p_scale(p, c):
 
 def p_sub(p, q):
     out = dict(p)
-    axpy(out, -_ONE, q)
+    axpy(out, -1, q)
     return out
 
 
@@ -78,7 +75,7 @@ def p_mul(p, q):
     for m1, c1 in p.items():
         for m2, c2 in q.items():
             m = tuple(a + b for a, b in zip(m1, m2))
-            s = out.get(m, _ZERO) + c1 * c2
+            s = out.get(m, 0) + c1 * c2
             if s:
                 out[m] = s
             else:
@@ -125,7 +122,7 @@ def reduce_poly(p, basis):
         c = work.pop(m)
         hit = _first_divisor(m, leading, -1)
         if hit is None:
-            s = out.get(m, _ZERO) + c
+            s = out.get(m, 0) + c
             if s:
                 out[m] = s
             else:
@@ -137,7 +134,7 @@ def reduce_poly(p, basis):
             if gm == lm:
                 continue
             mm = tuple(a + b for a, b in zip(q, gm))
-            s = work.get(mm, _ZERO) - c * gc
+            s = work.get(mm, 0) - c * gc
             if s:
                 work[mm] = s
             else:
@@ -147,15 +144,15 @@ def reduce_poly(p, basis):
 
 def _monic(p):
     _, c = p_leading(p)
-    return p_scale(p, _ONE / c)
+    return p_scale(p, Fraction(1, c))
 
 
 def s_polynomial(f, g):
     lmf, cf = p_leading(f)
     lmg, cg = p_leading(g)
     lcm = tuple(max(a, b) for a, b in zip(lmf, lmg))
-    uf = {tuple(a - b for a, b in zip(lcm, lmf)): _ONE / cf}
-    ug = {tuple(a - b for a, b in zip(lcm, lmg)): _ONE / cg}
+    uf = {tuple(a - b for a, b in zip(lcm, lmf)): Fraction(1, cf)}
+    ug = {tuple(a - b for a, b in zip(lcm, lmg)): Fraction(1, cg)}
     return p_sub(p_mul(uf, f), p_mul(ug, g))
 
 
@@ -242,7 +239,7 @@ def parse_polynomial(text, variables):
         return t
 
     def parse_signs():
-        sign = _ONE
+        sign = 1
         while peek() in ("+", "-"):
             if take() == "-":
                 sign = -sign
@@ -256,7 +253,7 @@ def parse_polynomial(text, variables):
         if t[0].isdigit():
             take()
             try:
-                return sign * Fraction(t), None
+                return sign * exact(t), None
             except (ValueError, ZeroDivisionError):
                 raise AlgebraError(f"malformed number {t!r} in {text!r}") from None
         if t in var_index:
@@ -278,7 +275,7 @@ def parse_polynomial(text, variables):
 
     poly = {}
     while pos < len(tokens):
-        coeff = _ONE
+        coeff = 1
         exps = [0] * nvars
         while True:
             c, ve = parse_factor()
@@ -290,7 +287,7 @@ def parse_polynomial(text, variables):
                 continue
             break
         m = tuple(exps)
-        s = poly.get(m, _ZERO) + coeff
+        s = poly.get(m, 0) + coeff
         if s:
             poly[m] = s
         else:
@@ -418,7 +415,7 @@ class PresentedAlgebra:
                 continue
             hit = _first_divisor(m, self._leading, self._inv_index)
             if hit is None:
-                table[stack.pop()] = {m: _ONE}
+                table[stack.pop()] = {m: 1}
                 continue
             g, lm = hit
             q = tuple(a - b for a, b in zip(m, lm))
@@ -443,9 +440,9 @@ class PresentedAlgebra:
         if isinstance(expr, str):
             poly = parse_polynomial(expr, self.variables)
         elif isinstance(expr, dict):
-            poly = {tuple(m): Fraction(c) for m, c in expr.items() if c}
+            poly = {tuple(m): e for m, c in expr.items() if (e := exact(c))}
         else:
-            poly = {(0,) * len(self.variables): Fraction(expr)} if expr else {}
+            poly = {(0,) * len(self.variables): e} if (e := exact(expr)) else {}
         for m in poly:
             self.check_monomial(m)
         return AlgebraElement(self, self._reduce_laurent(poly))
@@ -462,17 +459,17 @@ class PresentedAlgebra:
         if name not in self.variables:
             raise UndeclaredVariable(name)
         mono = tuple(1 if v == name else 0 for v in self.variables)
-        return self.normal_form({mono: _ONE})
+        return self.normal_form({mono: 1})
 
     def generators(self) -> list[AlgebraElement]:
         gens = [self.generator(v) for v in self.variables]
         if self.inverted:
             mono = tuple(-1 if v == self.inverted else 0 for v in self.variables)
-            gens.append(self.normal_form({mono: _ONE}))
+            gens.append(self.normal_form({mono: 1}))
         return gens
 
     def monomial_element(self, mono) -> AlgebraElement:
-        return self.normal_form({tuple(mono): _ONE})
+        return self.normal_form({tuple(mono): 1})
 
     def generates_unit_ideal(self, elements) -> bool:
         """Whether the elements generate the unit ideal of this algebra.
@@ -492,8 +489,8 @@ class PresentedAlgebra:
         gens = [{lift(m): c for m, c in p.items()} for p in polys]
         one = lift((0,) * n)
         if inv >= 0:
-            gens.append({tuple(int(k in (inv, n)) for k in range(n + 1)): _ONE, one: -_ONE})
-        return buchberger(gens) == [{one: _ONE}]
+            gens.append({tuple(int(k in (inv, n)) for k in range(n + 1)): 1, one: -1})
+        return buchberger(gens) == [{one: 1}]
 
     def format_monomial(self, mono) -> str:
         parts = [
@@ -530,7 +527,7 @@ class AlgebraElement:
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraElement(self.algebra, p_scale(self.terms, -_ONE))
+        return AlgebraElement(self.algebra, p_scale(self.terms, -1))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -540,7 +537,7 @@ class AlgebraElement:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return AlgebraElement(self.algebra, p_scale(self.terms, Fraction(other)))
+            return AlgebraElement(self.algebra, p_scale(self.terms, exact(other)))
         other = self._coerce(other)
         return AlgebraElement(
             self.algebra, self.algebra._reduce_laurent(p_mul(self.terms, other.terms))
@@ -743,5 +740,5 @@ def truncated_operator_matrix(op, source: PresentedAlgebra, target: PresentedAlg
                     f"{target.degree(mm)} > {d_out}"
                 )
             if c:
-                rows[index[mm]][j] = c if c.__class__ is Fraction else Fraction(c)
+                rows[index[mm]][j] = exact(c)
     return Matrix.from_sparse(len(tgt), len(src), rows)

@@ -21,12 +21,13 @@ from fractions import Fraction
 
 from .algebra import AlgebraError
 from .cokernels import NoStabilization
+from .linalg import exact
 from .report import Report
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str) -> int | Fraction:
     try:
-        return Fraction(text)
+        return exact(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
@@ -60,7 +61,7 @@ def _attach_negative_rationals(argv: list[str]) -> list[str]:
     for tok in argv:
         if out and out[-1] in _RATIONAL_OPTIONS and tok.startswith("-"):
             try:
-                Fraction(tok)
+                exact(tok)
             except (ValueError, ZeroDivisionError):
                 pass
             else:

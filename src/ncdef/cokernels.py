@@ -40,8 +40,6 @@ from .diagrams import FiniteCategory, MorFunctor, build_resolving_complex
 # benchmark's tracer test checks that tracing patches these bindings
 from .linalg import Matrix, SubspaceReducer, axpy, kernel_basis, solve, tag_coordinates  # noqa: F401
 
-_ONE = Fraction(1)
-
 # the first truncation degree the stabilization search tries; the
 # stabilization oracle re-runs a presentation from d_star + 1 instead
 D_START = 6
@@ -180,7 +178,7 @@ class CokernelPresentation:
         images = self._images(sources[len(self._sources):], d_in + self._shift)
         for j, image in enumerate(images, len(self._sources)):
             # an image that reduces to zero leaves a free source, not a row
-            self._image.add(image, {-1 - j: _ONE})
+            self._image.add(image, {-1 - j: 1})
         self._sources = sources
         self._source_degree = d_in
 
@@ -239,7 +237,7 @@ class CokernelPresentation:
             reps = []
             # each candidate once: a repeat is dependent on its first try
             for i in dict.fromkeys([*preferred, *(i for i in range(n) if i not in pivots)]):
-                if echelon.add(self._image.residual({i: _ONE}), {-1 - n_src - len(reps): _ONE}):
+                if echelon.add(self._image.residual({i: 1}), {-1 - n_src - len(reps): 1}):
                     reps.append(basis[i])
             self._stages[d] = (reps, echelon, n_src)
         return self._stages[d]

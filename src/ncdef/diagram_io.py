@@ -20,7 +20,7 @@ from fractions import Fraction
 from .algebra import AlgebraMorphism, Derivation, PresentedAlgebra
 from .cokernels import ChartData
 from .diagrams import CategoryError, FiniteCategory, MorFunctor
-from .linalg import Matrix
+from .linalg import Matrix, exact
 
 SCHEMA = "ncdef-diagram/1"
 HULL_SCHEMA = "ncdef-hull/1"
@@ -123,8 +123,7 @@ def _parse(data: dict) -> tuple[FiniteCategory, dict, dict, dict]:
     mats = {}
     # one value per distinct entry string: parsing is most of a load. Only
     # strings are cached, so a float or a bool never hits an equal int's entry.
-    # An integral entry is kept as an int, which the echelons add and multiply
-    # faster than a Fraction and divide exactly (linalg._quotient)
+    # A string is read by linalg.exact, so an integral entry is an int
     parsed = {}
     for entry in data["maps"]:
         f, alpha, beta = entry["of"], entry["alpha"], entry["beta"]
@@ -147,8 +146,7 @@ def _parse(data: dict) -> tuple[FiniteCategory, dict, dict, dict]:
                 if x in parsed:
                     e = parsed[x]
                 elif type(x) is str:
-                    e = Fraction(x)
-                    e = parsed[x] = e.numerator if e.denominator == 1 else e
+                    e = parsed[x] = exact(x)
                 elif type(x) is int:
                     e = x
                 else:  # a float would be read as its binary approximation
@@ -199,7 +197,7 @@ def load_hull_config(path) -> tuple[dict, int, int]:
     return config, limits[0], limits[1]
 
 
-def elliptic_coefficients(config: dict) -> tuple[Fraction, Fraction]:
+def elliptic_coefficients(config: dict) -> tuple[int | Fraction, int | Fraction]:
     """(a, b) of a kind "elliptic" document, as rational strings or integers."""
     for key in ("a", "b"):
         if key not in config:
@@ -207,7 +205,7 @@ def elliptic_coefficients(config: dict) -> tuple[Fraction, Fraction]:
         if type(config[key]) not in (str, int):
             raise InputError(f"bad hull configuration entry: {key} is not a rational string")
     try:
-        return Fraction(config["a"]), Fraction(config["b"])
+        return exact(config["a"]), exact(config["b"])
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad hull configuration entry: {exc}") from exc
 
@@ -242,6 +240,11 @@ class Curve:
             if src not in self.charts or tgt not in self.charts or src == tgt:
                 raise InputError(f"restriction {name!r} is not an arrow 'A>B' between two charts")
             source = self.charts[src].algebra
+            if source.inverted:
+                raise InputError(
+                    f"restriction {name!r}: chart {src!r} inverts {source.inverted!r}, and a "
+                    "chart with an inverted variable can only be the target of a restriction; "
+                    "write the inverse as a relation with one more variable instead")
             images = _images(images, source.variables, f"restriction {name!r}")
             self.restrictions[name] = AlgebraMorphism(source, self.charts[tgt].algebra,
                                                       images, name=name)

@@ -15,9 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .linalg import Matrix, SubspaceReducer, kernel_basis, rank, rref, solve
-
-_ZERO = Fraction(0)
+from .linalg import Matrix, SubspaceReducer, exact, kernel_basis, rank, rref, solve
 
 
 class CategoryError(ValueError):
@@ -370,7 +368,7 @@ class ResolvingComplex:
     def cochain(self, p: int, blocks: dict) -> list[Fraction]:
         """The degree-p cochain vector with the given entries {p-tuple:
         entries}; the tuples not listed are zero."""
-        vec = [_ZERO] * self.space_dims[p]
+        vec = [0] * self.space_dims[p]
         for t, entries in blocks.items():
             off = self.offsets[p][t]
             if len(entries) != self.functor.dims[self._value_at(p, t)]:
@@ -437,12 +435,12 @@ class CohomologyGroup:
 
     def _canonical_coords(self, vec) -> list[Fraction]:
         """Class coordinates of a cocycle in the canonical representatives."""
-        vec = [Fraction(e) for e in vec]
+        vec = [exact(e) for e in vec]
         residual = self.complex.differentials[self.degree].apply(vec)
         if any(e != 0 for e in residual):
             raise CocycleError(residual)
         rest = self._image.residual({k: vec[j] for k, j in enumerate(self._free)})
-        return [rest.get(k, _ZERO) for k in self._classes]
+        return [rest.get(k, 0) for k in self._classes]
 
 
 def build_resolving_complex(base: FiniteCategory, G: MorFunctor, normalized: bool = True,

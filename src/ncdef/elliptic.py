@@ -23,6 +23,7 @@ from fractions import Fraction
 from .cokernels import D_START
 from .diagram_io import HULL_SCHEMA, Curve
 from .engine import DeformationDatum, EngineContext, EngineError, TensorElement
+from .linalg import exact
 from .matric import quotient
 from .report import Report
 from .tower import tangent_free
@@ -39,7 +40,7 @@ class SingularCurve(ValueError):
 
 def curve_config(a, b) -> dict:
     """The kind "curve" document of the plane cubic with coefficients (a, b)."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = exact(a), exact(b)
     disc = 4 * a**3 + 27 * b**2
     if disc == 0:
         raise SingularCurve(a, b)
@@ -83,7 +84,7 @@ class EllipticCurve(Curve):
 
     def __init__(self, a, b):
         super().__init__(curve_config(a, b))
-        self.a, self.b = Fraction(a), Fraction(b)
+        self.a, self.b = exact(a), exact(b)
         self.discriminant = 4 * self.a**3 + 27 * self.b**2
         self.regime = "a=0" if self.a == 0 else "a!=0"
 
@@ -184,7 +185,7 @@ def run_full_pipeline(cfg: EllipticCurve, hull_order: int = 4,
 
     table = hull.cup_table
     if table is not None:
-        if table[(1, 2)] != [Fraction(1)]:
+        if table[(1, 2)] != [1]:
             raise EngineError(
                 "sign convention broke: <t1*, t2*> is not +o* in the configured "
                 "orientation"

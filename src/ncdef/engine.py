@@ -47,19 +47,14 @@ normal forms (``PresentedAlgebra.monomial_nf``).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .algebra import AlgebraElement, PresentedAlgebra
 from .cokernels import ExtDiagram, GlobalHochschild
 from .diagrams import CocycleError
 # kernel_basis and quotient are not called here but stay bound: the pipeline
 # benchmark's tracer test checks that tracing patches these bindings
-from .linalg import axpy, kernel_basis, solve  # noqa: F401
+from .linalg import axpy, exact, kernel_basis, solve  # noqa: F401
 from .matric import MatricArtin, MatricElement, SmallSurjection, quotient  # noqa: F401
 from .tower import DeformationError, HullResult, NoLiftPossible, hull
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # the calculus and the tower it drives raise one error type, so a caller
 # catches the tower's errors too as EngineError
@@ -105,16 +100,16 @@ class TensorElement:
 
     def __add__(self, other):
         out = dict(self.coeffs)
-        axpy(out, _ONE, other.coeffs)
+        axpy(out, 1, other.coeffs)
         return TensorElement(self.algebra, self.base, out)
 
     def __sub__(self, other):
         out = dict(self.coeffs)
-        axpy(out, -_ONE, other.coeffs)
+        axpy(out, -1, other.coeffs)
         return TensorElement(self.algebra, self.base, out)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return TensorElement(self.algebra, self.base)
         return TensorElement(self.algebra, self.base,
@@ -235,7 +230,7 @@ class DeformationDatum:
             power = TensorElement.unit(ctx.algebra_of(obj), self.base)
             for k in range(1, self.base.free.truncation):
                 power = power * pi[obj]
-                inv = inv + power.scale(Fraction(-1) ** k)
+                inv = inv + power.scale((-1) ** k)
                 if power.is_zero():
                     break
             units[obj], invs[obj] = u, inv
@@ -484,7 +479,7 @@ class EngineContext:
         omegas = hh.h1.representatives
         comps = {name: self.kernel_components(defect.d11[name], surj)
                  for name in self.inclusions}
-        coords = [[_ZERO] * len(surj.kernel_basis) for _ in omegas]
+        coords = [[0] * len(surj.kernel_basis) for _ in omegas]
         E = {obj: TensorElement(self.algebra_of(obj), base) for obj in self.poset.objects}
         W = {name: TensorElement(self.target_algebra_of(name), base)
              for name in self.inclusions}

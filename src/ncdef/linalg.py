@@ -8,11 +8,16 @@ zero and equal matrices have equal rows. ``Matrix.from_sparse`` takes such
 rows as they are, and ``Matrix.from_blocks`` sums signed blocks into them.
 Dense views (``row``, ``column``, ``m[i, j]``) are built on demand.
 
-An entry is an exact ``int`` or a ``Fraction``. The two compare and hash
-alike, and ints, which a loaded diagram keeps for its integral entries, add
-and multiply without a Fraction's overhead. They part only under ``/``,
-where two ints give a float, so ``_quotient`` is the one division: it keeps
-an int quotient an int and makes any other one a Fraction.
+An entry is an exact ``int`` or ``Fraction``. ``exact`` states the rule by
+which one enters: an integral value is an int and any other rational a
+Fraction, and a float, which stands for its binary approximation, is
+refused. Every public entry point reads its entries through it, passing
+ints and Fractions as they are without a call per entry. After that,
+arithmetic keeps whatever Python's int and Fraction operations return: the
+two compare and hash alike, and ints add and multiply without a Fraction's
+overhead. They part only under ``/``, where two ints give a float, so
+``_quotient`` is the one division: it keeps an int quotient an int and
+makes any other one a Fraction.
 
 Every cohomology and obstruction computation in this package reduces to
 row reduction, by one of two routines over sparse rows keyed by pivot.
@@ -28,10 +33,7 @@ of 21 ``cohomology`` benchmark inputs (seed 711, 2-vCPU x86-64 VM), so
 matrices stay on Gauss-Jordan.
 
 ``SubspaceReducer`` grows an echelon one vector at a time, as in greedy
-complement selection; it accepts sparse dicts or dense vectors, and takes
-their int and Fraction entries as they are, so the boundaries of a loaded
-integral diagram enter and reduce as ints (any other entry becomes a
-Fraction; ``Matrix(...)`` and ``from_rows`` make every entry one). Its rows
+complement selection; it accepts sparse dicts or dense vectors. Its rows
 pivot on their last index and are forward-only: never edited once
 inserted, never back-substituted. A row may carry a tag on negative
 indices, the combination of inserted vectors it came from, kept factored
@@ -42,7 +44,7 @@ such tagged echelon of a matrix's columns, cached on the matrix.
 >>> m = Matrix.from_rows([[1, 2], [2, 4]])
 >>> r, pivots = rref(m)
 >>> r.row(0), r.row(1), pivots
-((Fraction(1, 1), Fraction(2, 1)), (Fraction(0, 1), Fraction(0, 1)), [0])
+((1, 2), (0, 0), [0])
 >>> red = SubspaceReducer(3)
 >>> red.add({0: 1, 2: 2}), red.add([0, 0, 4]), red.contains({0: 3})
 (True, True, True)
@@ -55,18 +57,27 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class DimensionMismatch(ValueError):
     """Operands have incompatible shapes."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def exact(x) -> int | Fraction:
+    """The exact entry that x stands for: an int when it is integral and a
+    Fraction when it is not. An int is returned as it is; a str or any other
+    rational is read by ``Fraction``. A float raises TypeError, as it stands
+    for its binary approximation (0.1 is 3602879701896397/36028797018963968).
+
+    >>> exact(Fraction(6, 3)), exact("-3/4")
+    (2, Fraction(-3, 4))
+    """
+    if x.__class__ is int:
         return x
-    return Fraction(x)
+    if x.__class__ is not Fraction:
+        if isinstance(x, float):
+            raise TypeError(f"float entry {x!r}: give an int, a Fraction or a rational string")
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 class Matrix:
@@ -87,7 +98,7 @@ class Matrix:
             raise DimensionMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        self._set(rows, cols, [_sparse(entries[i * cols:(i + 1) * cols]) for i in range(rows)])
+        self._set(rows, cols, [_exact(entries[i * cols:(i + 1) * cols]) for i in range(rows)])
 
     def _set(self, rows: int, cols: int, sparse: list) -> None:
         self.rows = rows
@@ -127,7 +138,7 @@ class Matrix:
         for r in rows:
             if len(r) != ncols:
                 raise DimensionMismatch("ragged rows")
-        return cls.from_sparse(len(rows), ncols, [_sparse(r) for r in rows])
+        return cls.from_sparse(len(rows), ncols, [_exact(r) for r in rows])
 
     @classmethod
     def from_columns(cls, cols, nrows: int | None = None) -> Matrix:
@@ -139,11 +150,11 @@ class Matrix:
         for c in cols:
             if len(c) != nrows:
                 raise DimensionMismatch("ragged columns")
-        return cls.from_sparse(len(cols), nrows, [_sparse(c) for c in cols]).transpose()
+        return cls.from_sparse(len(cols), nrows, [_exact(c) for c in cols]).transpose()
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
-        return cls.from_sparse(n, n, [{i: _ONE} for i in range(n)])
+        return cls.from_sparse(n, n, [{i: 1} for i in range(n)])
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> Matrix:
@@ -153,18 +164,18 @@ class Matrix:
         i, j = ij
         if not 0 <= j < self.cols:
             raise IndexError("matrix column out of range")
-        return self.sparse[i].get(j, _ZERO)
+        return self.sparse[i].get(j, 0)
 
     def row(self, i: int) -> tuple:
         """Row i as a dense tuple."""
-        dense = [_ZERO] * self.cols
+        dense = [0] * self.cols
         for j, e in self.sparse[i].items():
             dense[j] = e
         return tuple(dense)
 
     def column(self, j: int) -> list:
         """Column j as a dense list."""
-        return [r.get(j, _ZERO) for r in self.sparse]
+        return [r.get(j, 0) for r in self.sparse]
 
     def __eq__(self, other) -> bool:
         return (
@@ -197,13 +208,13 @@ class Matrix:
         return Matrix.from_sparse(self.rows, self.cols, out)
 
     def __add__(self, other: Matrix) -> Matrix:
-        return self._combine(other, _ONE, "addition")
+        return self._combine(other, 1, "addition")
 
     def __sub__(self, other: Matrix) -> Matrix:
-        return self._combine(other, -_ONE, "subtraction")
+        return self._combine(other, -1, "subtraction")
 
     def scale(self, c) -> Matrix:
-        c = _as_fraction(c)
+        c = exact(c)
         if not c:
             return Matrix.zero(self.rows, self.cols)
         return Matrix.from_sparse(self.rows, self.cols,
@@ -235,7 +246,7 @@ class Matrix:
             raise DimensionMismatch("vector length != cols")
         out = []
         for r in self.sparse:
-            s = _ZERO
+            s = 0
             for k, a in r.items():
                 x = vec[k]
                 if x:
@@ -273,9 +284,9 @@ def rank(m: Matrix) -> int:
 def kernel_basis(m: Matrix) -> list[list[Fraction]]:
     """Basis of {x : m @ x = 0}, one vector per non-pivot column."""
     rows = _echelon(m)
-    basis = {j: [_ZERO] * m.cols for j in range(m.cols) if j not in rows}
+    basis = {j: [0] * m.cols for j in range(m.cols) if j not in rows}
     for j, v in basis.items():
-        v[j] = _ONE
+        v[j] = 1
     for p, row in rows.items():
         for j, e in row.items():
             if j != p:
@@ -306,7 +317,7 @@ def solve(m: Matrix, b) -> list[Fraction] | None:
     the others zero, which is the RREF solution.
 
     >>> solve(Matrix.from_rows([[1, 2, 1], [2, 4, 0]]), [3, 2])
-    [Fraction(1, 1), Fraction(0, 1), Fraction(2, 1)]
+    [Fraction(1, 1), 0, Fraction(2, 1)]
     >>> solve(Matrix.from_rows([[1, 2], [2, 4]]), [1, 0]) is None
     True
     """
@@ -318,7 +329,7 @@ def solve(m: Matrix, b) -> list[Fraction] | None:
         # through _add, so that SubspaceReducer.add counts only the
         # incremental callers' insertions
         for j, col in enumerate(m.transpose().sparse):
-            columns._add(col, {-1 - j: _ONE})
+            columns._add(col, {-1 - j: 1})
     return tag_coordinates(columns.residual(b), m.cols)
 
 
@@ -327,22 +338,12 @@ def tag_coordinates(residual: dict, n: int) -> list[Fraction] | None:
     -1 - j, read off b's residual against their echelon: x[j] is minus its
     entry at -1 - j. None when the residual keeps an index >= 0, that is,
     when b is not in their span."""
-    x = [_ZERO] * n
+    x = [0] * n
     for k, c in residual.items():
         if k >= 0:
             return None
         x[-1 - k] = -c
     return x
-
-
-def _sparse(vec) -> dict[int, Fraction]:
-    """A fresh ``{index: Fraction}`` dict of the nonzero entries of a dict
-    or dense vector."""
-    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    # the exact class test passes Fractions through without a call per entry;
-    # other entries are converted before the zero test, so "0" is dropped too
-    return {k: f for k, e in items
-            if e and (f := e if e.__class__ is Fraction else Fraction(e))}
 
 
 class SubspaceReducer:
@@ -387,7 +388,7 @@ class SubspaceReducer:
 
     @property
     def rows(self) -> list[dict[int, Fraction]]:
-        return [{**tail, p: _ONE, **self._tag(p)} for p, tail in self._tails.items()]
+        return [{**tail, p: 1, **self._tag(p)} for p, tail in self._tails.items()]
 
     @property
     def pivots(self) -> list[int]:
@@ -474,13 +475,14 @@ class SubspaceReducer:
 
 def _exact(vec) -> dict:
     """A fresh ``{index: entry}`` dict of the nonzero entries of a dict or
-    dense vector, keeping ints and Fractions as they are and making any
-    other entry a Fraction: the echelons' input path, where a loaded
-    diagram's integral boundaries stay ints."""
+    dense vector, each read through ``exact``: the input path of matrices
+    and echelons."""
     items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    # the class test passes ints and Fractions without a call per entry;
+    # any other entry is read before the zero test, so "0" is dropped and
+    # 0.0 refused
     return {k: f for k, e in items
-            if e and (f := e if e.__class__ is Fraction or e.__class__ is int
-                      else Fraction(e))}
+            if (f := e if e.__class__ is int or e.__class__ is Fraction else exact(e))}
 
 
 def _split(vec) -> tuple[dict, dict]:

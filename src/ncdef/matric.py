@@ -17,10 +17,7 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
-from .linalg import SubspaceReducer, axpy, format_terms, tag_coordinates
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .linalg import SubspaceReducer, axpy, exact, format_terms, tag_coordinates
 
 
 class MatricError(ValueError):
@@ -80,7 +77,7 @@ class MatricTruncatedFree:
         self.index = {w: k for k, w in enumerate(self.basis)}
         self.dim = len(self.basis)
         # the generators as elements, in generator order (they generate I)
-        self.generator_elements = [self.element({w: _ONE}) for w in self.basis
+        self.generator_elements = [self.element({w: 1}) for w in self.basis
                                    if self.word_length(w) == 1]
 
     def word_row(self, word) -> int:
@@ -117,21 +114,21 @@ class MatricTruncatedFree:
         return ("w", w)
 
     def element(self, coeffs: dict) -> MatricElement:
-        return MatricElement(self, {w: Fraction(c) for w, c in coeffs.items() if c})
+        return MatricElement(self, {w: e for w, c in coeffs.items() if (e := exact(c))})
 
     def zero(self) -> MatricElement:
         return self.element({})
 
     def one(self) -> MatricElement:
-        return self.element({("e", i): _ONE for i in range(1, self.p + 1)})
+        return self.element({("e", i): 1 for i in range(1, self.p + 1)})
 
     def idempotent(self, i: int) -> MatricElement:
-        return self.element({("e", i): _ONE})
+        return self.element({("e", i): 1})
 
     def generator(self, name: str) -> MatricElement:
         for gi, (n, _, _) in enumerate(self.gens.generators):
             if n == name:
-                return self.element({("w", (gi,)): _ONE})
+                return self.element({("w", (gi,)): 1})
         raise MatricError(f"no generator named {name!r}")
 
     def radical_words(self, min_length: int = 1):
@@ -149,7 +146,7 @@ class MatricTruncatedFree:
             for v, cv in b.coeffs.items():
                 w = self.mul_words(u, v)
                 if w is not None:
-                    s = out.get(w, _ZERO) + cu * cv
+                    s = out.get(w, 0) + cu * cv
                     if s:
                         out[w] = s
                     else:
@@ -173,16 +170,16 @@ class MatricElement:
 
     def __add__(self, other):
         out = dict(self.coeffs)
-        axpy(out, _ONE, other.coeffs)
+        axpy(out, 1, other.coeffs)
         return MatricElement(self.parent, out)
 
     def __sub__(self, other):
         out = dict(self.coeffs)
-        axpy(out, -_ONE, other.coeffs)
+        axpy(out, -1, other.coeffs)
         return MatricElement(self.parent, out)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return MatricElement(self.parent, {})
         return MatricElement(self.parent, {w: c * v for w, v in self.coeffs.items()})
@@ -198,7 +195,7 @@ class MatricElement:
         return NotImplemented
 
     def __neg__(self):
-        return self.scale(-_ONE)
+        return self.scale(-1)
 
     def __eq__(self, other):
         return isinstance(other, MatricElement) and self.coeffs == other.coeffs
@@ -316,7 +313,7 @@ class MatricArtin:
         prod = self._products.get((u, v))
         if prod is None:
             w = self.free.mul_words(u, v)
-            prod = {} if w is None else self._reduce_sparse({self.free.index[w]: _ONE}).coeffs
+            prod = {} if w is None else self._reduce_sparse({self.free.index[w]: 1}).coeffs
             self._products[u, v] = prod
         return prod
 
@@ -339,7 +336,7 @@ class MatricArtin:
         ech = SubspaceReducer(self.dim)
         out = []
         for w in self.free.radical_words(min_order):
-            e = self.reduce(self.free.element({w: _ONE}))
+            e = self.reduce(self.free.element({w: 1}))
             if not e.is_zero() and ech.add(self.sparse(e)):
                 out.append(e)
         return out
@@ -355,7 +352,7 @@ class MatricArtin:
         return self.multiply(self.multiply(self.idempotent(i), elem), self.idempotent(j))
 
     def is_commutative(self) -> bool:
-        basis_elems = [MatricElement(self, {w: _ONE}) for w in self.qbasis]
+        basis_elems = [MatricElement(self, {w: 1}) for w in self.qbasis]
         for a in basis_elems:
             for b in basis_elems:
                 if self.multiply(a, b) != self.multiply(b, a):
@@ -402,7 +399,7 @@ class SmallSurjection:
         kernel = []
         for g in target.ideal_basis():
             e = source.reduce(g)
-            tag = {-1 - len(kernel): _ONE}
+            tag = {-1 - len(kernel): 1}
             if not e.is_zero() and self._kernel.add(source.sparse(e), tag):
                 kernel.append(e)
         self.kernel_basis = kernel

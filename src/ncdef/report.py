@@ -1,8 +1,8 @@
 """Structured report emission: deterministic JSON and paper-layout Markdown.
 
-The JSON serialization is byte-identical across runs on identical inputs:
-keys keep their construction order, rationals are formatted "p/q", and
-wall-clock timing stays out of it (Markdown shows it, stderr logs it).
+Both renderings are byte-identical across runs on identical inputs: keys
+keep their construction order, rationals are formatted "p/q", and
+wall-clock timing stays out of the report (the CLI logs it on stderr).
 """
 
 from __future__ import annotations
@@ -106,9 +106,6 @@ class Report:
             lines.append("")
             for degree, data in run.items():
                 lines.append(f"- H^{degree}: dimension {data['dim']}")
-            lines.append("")
-        if self.elapsed is not None:
-            lines.append(f"elapsed: {self.elapsed:.2f} s")
             lines.append("")
         return "\n".join(lines)
 

@@ -46,14 +46,14 @@ def suite_linalg_roundtrips(seed=20260810, runs=200):
         rows, cols = rng.randint(1, 7), rng.randint(1, 7)
         entries = [
             Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() > 0.3
-            else Fraction(0)
+            else 0
             for _ in range(rows * cols)
         ]
         m = Matrix(rows, cols, entries)
         ker = kernel_basis(m)
         if rank(m) + len(ker) != cols:
             return False, "rank-nullity failed"
-        coeffs = [Fraction(rng.randint(-3, 3)) for _ in range(cols)]
+        coeffs = [rng.randint(-3, 3) for _ in range(cols)]
         b = m.apply(coeffs)
         x = solve(m, b)
         if x is None or m.apply(x) != b:
@@ -76,7 +76,7 @@ def suite_commutativization(seed=77, runs=15):
         rad = free.radical_words(1)
         gens = []
         for _ in range(rng.randint(0, 2)):
-            coeffs = {w: Fraction(rng.randint(-3, 3))
+            coeffs = {w: rng.randint(-3, 3)
                       for w in rng.sample(rad, min(len(rad), 2))}
             g = free.element(coeffs)
             if not g.is_zero():
@@ -90,7 +90,7 @@ def suite_commutativization(seed=77, runs=15):
                 if i == j:
                     continue
                 for w in Rc.qbasis:
-                    e = Rc.element({w: Fraction(1)})
+                    e = Rc.element({w: 1})
                     if not Rc.component(e, i, j).is_zero():
                         return False, f"off-diagonal ({i},{j}) component survives"
     return True, f"{runs} randomized pointed algebras, p <= 3"
@@ -139,7 +139,7 @@ def suite_defect_invariance(a=1, b=1, seed=99, runs=20):
     alpha = MatricMorphism(base, base, {"t1": t1 + t2 * t2, "t2": t2})
 
     def word_image(w):
-        return alpha.apply(MatricElement(base, {w: Fraction(1)}))
+        return alpha.apply(MatricElement(base, {w: 1}))
 
     pushed_defect = ctx.validate(datum.push(word_image, base))
     straight = {n: te.push(word_image, base) for n, te in ctx.validate(datum).d11.items()}
@@ -151,7 +151,7 @@ def suite_defect_invariance(a=1, b=1, seed=99, runs=20):
         for obj in ctx.poset.objects:
             A = ctx.algebra_of(obj)
             monos = A.nf_monomials(2)
-            coeff = A.normal_form({rng.choice(monos): Fraction(rng.randint(-2, 2))})
+            coeff = A.normal_form({rng.choice(monos): rng.randint(-2, 2)})
             pi[obj] = TensorElement.from_pairs(
                 A, base, [(coeff, base.generator(rng.choice(["t1", "t2"])))]
             )

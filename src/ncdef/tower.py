@@ -37,9 +37,6 @@ from .matric import (
     quotient,
 )
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 class DeformationError(RuntimeError):
     """A deformation problem or its tower failed a certification."""
@@ -101,14 +98,14 @@ def hull(problem, max_order: int) -> HullResult:
         b_gens = [prod for row in f_rows for t in free.generator_elements
                   for prod in (t * row, row * t) if not prod.is_zero()]
         Rp = quotient(free, b_gens, name=f"T/b{n}")
-        a_gens = f_rows + [free.element({w: _ONE}) for w in free.radical_words(n)]
+        a_gens = f_rows + [free.element({w: 1}) for w in free.radical_words(n)]
         H = quotient(Rp, a_gens, name=H.name)  # H re-presented in this truncation
         surj = SmallSurjection(Rp, H)
         lift = datum.rebase_section(Rp)
         obst = problem.obstruction_class(problem.validate(lift), surj)
         rows = obst.rows()
         if n == 2:
-            cup_table = {(l, m): [e.coeffs.get(("w", (l - 1, m - 1)), _ZERO) for e in rows]
+            cup_table = {(l, m): [e.coeffs.get(("w", (l - 1, m - 1)), 0) for e in rows]
                          for l in range(1, r + 1) for m in range(1, r + 1)}
         current = {alpha: _normalize_relation(free.element(row.coeffs))
                    for alpha, row in enumerate(rows) if not row.is_zero()}
@@ -120,7 +117,7 @@ def hull(problem, max_order: int) -> HullResult:
         # tower coherence: H_(n+1) / I^n recovers H_n
         if H_next.dim - len(H_next.radical_basis(n)) != H.dim:
             raise DeformationError(f"tower coherence fails at order {n + 1}")
-        images = {w: H_next.element({w: _ONE}) for w in Rp.qbasis}
+        images = {w: H_next.element({w: 1}) for w in Rp.qbasis}
         datum = (lift.corrected(obst.witness.E, obst.witness.W)
                  .push(images.__getitem__, H_next))
         defect = problem.validate(datum)
@@ -173,5 +170,5 @@ def _leading_key(word):
 
 def _normalize_relation(elem: MatricElement) -> MatricElement:
     lead = max(elem.coeffs, key=_leading_key)
-    return elem.scale(_ONE / elem.coeffs[lead])
+    return elem.scale(Fraction(1, elem.coeffs[lead]))
 

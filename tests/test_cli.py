@@ -246,6 +246,12 @@ def _chain(config):
     ({"schema": "ncdef-hull/1", "kind": "elliptic", "a": "1", "b": "1", "bases": {}},
      "hull configuration has an unknown entry 'bases'"),
     (_curve(lambda c: c.__setitem__("a", "1")), "hull configuration has an unknown entry 'a'"),
+    # G_m restricting to itself: the schema has no entry for the inverse image
+    ({"schema": "ncdef-hull/1", "kind": "curve",
+      "charts": {label: {"variables": ["x"], "inverted": "x", "derivation": {"x": "x"}}
+                 for label in ("V", "W")},
+      "restrictions": {"V>W": {"x": "x"}}},
+     "chart with an inverted variable can only be the target of a restriction"),
 ])
 def test_malformed_curve_configs_exit_one(capsys, tmp_path, config, message):
     path = tmp_path / "config.json"

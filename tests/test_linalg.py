@@ -3,17 +3,20 @@ from fractions import Fraction
 
 import pytest
 
+from ncdef.algebra import PresentedAlgebra
 from ncdef.linalg import (
     DimensionMismatch,
     Matrix,
     SubspaceReducer,
     cokernel_reps,
+    exact,
     image_basis,
     kernel_basis,
     rank,
     rref,
     solve,
 )
+from ncdef.tower import tangent_free
 
 
 def test_rref_identity():
@@ -74,13 +77,35 @@ def test_dimension_mismatch_rejected():
         Matrix.identity(2).apply([1, 2, 3])
 
 
-def test_entries_of_any_rational_type_become_fractions():
+def test_entries_of_any_rational_type_become_exact():
     m = Matrix(2, 2, [1, "3/4", Fraction(-2, 6), "0"])
     assert [m.row(0), m.row(1)] == [(Fraction(1), Fraction(3, 4)), (Fraction(-1, 3), Fraction(0))]
-    assert all(type(e) is Fraction for i in range(2) for e in m.row(i))
+    # an integral entry is an int, any other one a Fraction (linalg.exact)
+    assert [type(e) for i in range(2) for e in m.row(i)] == [int, Fraction, Fraction, int]
     # the zero given as "0" is not stored
     assert m.sparse == [{0: Fraction(1), 1: Fraction(3, 4)}, {0: Fraction(-1, 3)}]
     assert m == Matrix.from_rows([[Fraction(1), Fraction(3, 4)], [Fraction(-1, 3), 0]])
+
+
+def test_exact_makes_an_integral_rational_an_int():
+    got = [exact(x) for x in (3, Fraction(6, 3), "-4/2", "3/6", True)]
+    assert [(e, type(e)) for e in got] == [
+        (3, int), (2, int), (-2, int), (Fraction(1, 2), Fraction), (1, int)]
+
+
+@pytest.mark.parametrize("enter", [
+    lambda: Matrix(1, 1, [0.1]),
+    lambda: PresentedAlgebra(["x"]).normal_form({(1,): 0.1}),
+    lambda: PresentedAlgebra(["x"]).generator("x") * 0.1,
+    lambda: tangent_free(1, 3).element({("w", (0,)): 0.1}),
+    lambda: SubspaceReducer(2).add([0.1, 1]),
+], ids=["Matrix", "normal_form", "AlgebraElement_mul", "MatricTruncatedFree_element",
+        "SubspaceReducer_add"])
+def test_a_float_entry_is_refused_at_every_entry_point(enter):
+    # a float stands for its binary approximation: 0.1 would be stored as
+    # 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="float entry 0.1"):
+        enter()
 
 
 def _random_matrix(rng, rows, cols, zeros=0.35):
@@ -656,8 +681,10 @@ def test_subspace_reducer_takes_int_vectors_as_they_are():
         for v in vectors:
             assert red_i.add(v) == red_f.add([Fraction(e) for e in v])
         assert red_i.pivots == red_f.pivots and red_i.rows == red_f.rows
-        assert all(type(e) is Fraction for row in red_f.rows for e in row.values())
-        # a row's pivot entry is the Fraction 1 (SubspaceReducer.rows)
+        # a row's pivot entry is the int 1 (SubspaceReducer.rows), and the
+        # Fraction vectors left Fractions everywhere else
+        assert all(type(e) is (int if j == p else Fraction)
+                   for p, row in zip(red_f.pivots, red_f.rows) for j, e in row.items())
         rows_integral = all(type(e) is int for p, row in zip(red_i.pivots, red_i.rows)
                             for j, e in row.items() if j != p)
         for _ in range(3):

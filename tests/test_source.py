@@ -86,28 +86,55 @@ def test_the_tower_knows_only_the_base_algebras():
     assert modules == {"matric"}
 
 
+def _is_fraction_call(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "Fraction")
+
+
+def _nodes_of_linalg_function(tree, name: str) -> set:
+    (function,) = [node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == name]
+    return {id(node) for node in ast.walk(function)}
+
+
 def test_every_division_in_the_package_is_exact():
-    # an entry is an int or a Fraction, and int / int is a float: each `/`
-    # is linalg._quotient's own, or has a module's Fraction constant _ONE
-    # on its left
+    # an entry is an int or a Fraction, and int / int is a float: the one
+    # `/` is linalg._quotient's own, and a reciprocal is Fraction(1, c)
     found = []
     for path in sorted(Path(ncdef.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        one_is_a_fraction = any(
-            isinstance(node, ast.Assign) and ast.unparse(node) == "_ONE = Fraction(1)"
-            for node in tree.body)
-        exempt = set()
-        if path.name == "linalg.py":
-            (quotient,) = [node for node in tree.body
-                           if isinstance(node, ast.FunctionDef) and node.name == "_quotient"]
-            exempt = {id(node) for node in ast.walk(quotient)}
+        exempt = _nodes_of_linalg_function(tree, "_quotient") if path.name == "linalg.py" else set()
         for node in ast.walk(tree):
             if id(node) in exempt:
                 continue
-            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Div):
+            if (isinstance(node, (ast.AugAssign, ast.BinOp))
+                    and isinstance(node.op, ast.Div)):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
-            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and not (
-                    one_is_a_fraction and isinstance(node.left, ast.Name)
-                    and node.left.id == "_ONE"):
+    assert found == []
+
+
+def test_no_module_keeps_a_fraction_constant():
+    # 0 and 1 are the literals: a module-level Fraction(...) constant is a
+    # number policy of its own, apart from linalg's
+    found = []
+    for path in sorted(Path(ncdef.__file__).parent.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+                    and any(_is_fraction_call(n) for n in ast.walk(node.value))):
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
+
+
+def test_only_linalg_exact_coerces_a_number():
+    # Fraction(x) on one argument reads a number; linalg.exact is the one
+    # place that does, so that every entry enters by one rule (an int when
+    # integral, a float refused). Fraction(p, q) constructs a quotient
+    found = []
+    for path in sorted(Path(ncdef.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = _nodes_of_linalg_function(tree, "exact") if path.name == "linalg.py" else set()
+        for node in ast.walk(tree):
+            if (id(node) not in exempt and _is_fraction_call(node)
+                    and len(node.args) + len(node.keywords) == 1):
                 found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert found == []
